@@ -75,14 +75,13 @@ struct Track {
   double done_wall_ms = 0.0;       // sum of finished seeds' walls
   double wall_ms = 0.0;            // busy wall summed across attempts
   int slot = -1;
-  int spawns = 0;
+  int dispatches = 0;
 };
 
-/// One scheduler slot. Under the pool a slot IS a resident --worker-loop
-/// process: `worker` outlives the specs dispatched to it, `lines`
-/// reassembles its stdout into protocol replies, and `busy`/`pos` name the
-/// spec currently in flight. With the pool off, `worker` is the per-attempt
-/// --worker process and exit status is the completion signal.
+/// One scheduler slot. A slot IS a resident --worker-loop process:
+/// `worker` outlives the specs dispatched to it, `lines` reassembles its
+/// stdout into protocol replies, and `busy`/`pos` name the spec currently
+/// in flight.
 struct Slot {
   std::unique_ptr<util::Subprocess> worker;
   LineBuffer lines;
@@ -205,9 +204,28 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     ++stats_.pool_workers;
   };
 
-  /// Hands spec `p` to slot `slot_idx`: writes the spec file and either
-  /// streams a `run` command to the slot's resident worker (spawning or
-  /// respawning it as needed) or forks a one-shot --worker process.
+  /// Frees a busy slot, charging the in-flight spec's busy wall.
+  const auto release_spec = [&](Slot& slot) {
+    slot.busy = false;
+    Track& t = track[slot.pos];
+    t.wall_ms += elapsed_ms(t.dispatch_time);
+  };
+
+  /// Forgets a slot's worker process once it has ended or been stopped
+  /// (a crash, heartbeat staleness, a superseded spec); the next dispatch
+  /// to the slot respawns one. Releases the in-flight spec, if any, and
+  /// returns whether there was one.
+  const auto drop_worker = [&](Slot& slot) {
+    slot.worker.reset();
+    slot.lines = LineBuffer{};
+    if (!slot.busy) return false;
+    release_spec(slot);
+    return true;
+  };
+
+  /// Hands spec `p` to slot `slot_idx`: writes the spec file and streams a
+  /// `run` command to the slot's resident worker, spawning or respawning
+  /// it as needed.
   const auto dispatch = [&](std::size_t p, int slot_idx) {
     obs::Span span("dist.dispatch");
     Slot& slot = slots[static_cast<std::size_t>(slot_idx)];
@@ -224,29 +242,23 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       fs::remove(spec.trace_path, ec);
     }
     save_shard_spec(spec, spec_path);
-    if (opts_.use_worker_pool) {
-      WorkerCommand cmd;
-      cmd.kind = WorkerCommand::Kind::kRun;
-      cmd.spec_path = spec_path;
-      const std::string line = encode_worker_command(cmd);
-      // A worker that died while idle surfaces here as a broken pipe; one
-      // respawn covers it. Failing twice in a row means workers cannot be
-      // created at all, which is fatal exactly like a failed fork was.
-      bool sent = false;
-      for (int tries = 0; tries < 2 && !sent; ++tries) {
-        if (!slot.worker || slot.worker->waited()) launch_pool_worker(slot);
-        sent = slot.worker->write_stdin(line);
-        if (!sent) slot.worker.reset();
-      }
-      if (!sent) {
-        throw std::runtime_error(
-            "Coordinator: cannot keep a resident worker alive on slot " +
-            std::to_string(slot_idx));
-      }
-    } else {
-      std::vector<std::string> argv = opts_.worker_command;
-      argv.push_back("--worker=" + spec_path);
-      slot.worker = std::make_unique<util::Subprocess>(std::move(argv));
+    WorkerCommand cmd;
+    cmd.kind = WorkerCommand::Kind::kRun;
+    cmd.spec_path = spec_path;
+    const std::string line = encode_worker_command(cmd);
+    // A worker that died while idle surfaces here as a broken pipe; one
+    // respawn covers it. Failing twice in a row means workers cannot be
+    // created at all, which is fatal exactly like a failed fork was.
+    bool sent = false;
+    for (int tries = 0; tries < 2 && !sent; ++tries) {
+      if (!slot.worker || slot.worker->waited()) launch_pool_worker(slot);
+      sent = slot.worker->write_stdin(line);
+      if (!sent) drop_worker(slot);
+    }
+    if (!sent) {
+      throw std::runtime_error(
+          "Coordinator: cannot keep a resident worker alive on slot " +
+          std::to_string(slot_idx));
     }
     slot.busy = true;
     slot.pos = p;
@@ -258,30 +270,27 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     t.dispatch_time = Clock::now();
     t.last_event = t.dispatch_time;
     t.done_wall_ms = 0.0;
-    ++t.spawns;
+    ++t.dispatches;
     ++stats_.spawned;
     if (opts_.verbose) {
       std::fprintf(stderr,
                    "[dist] shard %d/%d (%s, %s, attempt %d) -> pid %ld "
-                   "slot %d%s\n",
+                   "slot %d\n",
                    spec.index, spec.count,
                    std::string(core::strategy_name(spec.strategy)).c_str(),
                    seeds_label(spec).c_str(), spec.attempt,
-                   static_cast<long>(slot.worker->pid()), slot_idx,
-                   opts_.use_worker_pool ? " (pool)" : "");
+                   static_cast<long>(slot.worker->pid()), slot_idx);
     }
   };
 
   /// Stops the worker executing shard `p` (if any) and frees its slot.
-  /// Under the pool this kills the resident process mid-spec — the next
-  /// dispatch to the slot respawns a replacement.
+  /// This kills the resident process mid-spec — the next dispatch to the
+  /// slot respawns a replacement.
   const auto stop_worker = [&](std::size_t p) {
     for (Slot& slot : slots) {
       if (!slot.busy || slot.pos != p) continue;
       if (slot.worker) (void)slot.worker->stop(/*grace_ms=*/500);
-      slot.worker.reset();
-      slot.lines = LineBuffer{};
-      slot.busy = false;
+      drop_worker(slot);
       return;
     }
   };
@@ -582,9 +591,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   const auto resolve_reply = [&](int slot_idx, Slot& slot,
                                  const WorkerReply& reply,
                                  const std::string& worker_stderr) {
-    slot.busy = false;
-    Track& t = track[slot.pos];
-    t.wall_ms += elapsed_ms(t.dispatch_time);
+    release_spec(slot);
     if (reply.kind == WorkerReply::Kind::kDone) {
       on_success(slot.pos);
     } else {
@@ -594,7 +601,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     }
   };
 
-  /// Runs every complete reply line buffered for a pool slot.
+  /// Runs every complete reply line buffered for a slot.
   /// `dead_stderr` non-null means the worker is already reaped — its
   /// captured stderr stands in for take_stderr().
   const auto drain_replies = [&](int slot_idx, Slot& slot,
@@ -618,12 +625,12 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   };
 
   /// Completion scan: one pass over the slots that multiplexes the two
-  /// completion signals. For live pool workers, stdout is drained through
-  /// the line buffer and each protocol reply resolves the in-flight spec.
-  /// Process exit is abnormal under the pool (a healthy resident worker
-  /// replies and stays alive) — except that a reply written just before
-  /// death still counts, so the final drained stdout is processed before
-  /// the exit is judged; without the pool, exit IS the completion signal.
+  /// ways a busy slot finishes. For live workers, stdout is drained
+  /// through the line buffer and each protocol reply resolves the
+  /// in-flight spec. Process exit is always abnormal (a healthy resident
+  /// worker replies and stays alive) — except that a reply written just
+  /// before death still counts, so the final drained stdout is processed
+  /// before the exit is judged.
   const auto scan_completions = [&] {
     bool event = false;
     for (int s = 0; s < opts_.max_parallel; ++s) {
@@ -631,42 +638,26 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       if (!slot.worker) continue;
       const std::optional<util::Subprocess::Result> result =
           slot.worker->try_wait();
-      if (result) {
-        const long pid = static_cast<long>(slot.worker->pid());
-        if (opts_.use_worker_pool) {
-          slot.lines.feed(slot.worker->read_stdout());
-          event = drain_replies(s, slot, &result->stderr_output) || event;
-        }
-        slot.worker.reset();
-        slot.lines = LineBuffer{};
-        if (slot.busy) {
-          slot.busy = false;
-          Track& t = track[slot.pos];
-          t.wall_ms += elapsed_ms(t.dispatch_time);
-          if (!opts_.use_worker_pool && result->ok()) {
-            on_success(slot.pos);
-          } else {
-            if (opts_.use_worker_pool && opts_.verbose) {
-              std::fprintf(stderr,
-                           "[dist] resident worker pid %ld died mid-spec "
-                           "(%s) — will respawn\n",
-                           pid, result->describe().c_str());
-            }
-            on_failure(slot.pos, s, result->describe(),
-                       result->stderr_output);
-          }
-          event = true;
-        } else if (opts_.use_worker_pool && opts_.verbose &&
-                   result->exit_code != 0) {
+      const std::string* dead_stderr =
+          result ? &result->stderr_output : nullptr;
+      slot.lines.feed(slot.worker->read_stdout());
+      event = drain_replies(s, slot, dead_stderr) || event;
+      if (!result) continue;
+      const long pid = static_cast<long>(slot.worker->pid());
+      if (drop_worker(slot)) {
+        if (opts_.verbose) {
           std::fprintf(stderr,
-                       "[dist] idle resident worker pid %ld exited (%s)\n",
+                       "[dist] resident worker pid %ld died mid-spec (%s) — "
+                       "will respawn\n",
                        pid, result->describe().c_str());
         }
-        continue;
+        on_failure(slot.pos, s, result->describe(), result->stderr_output);
+        event = true;
+      } else if (opts_.verbose && result->exit_code != 0) {
+        std::fprintf(stderr,
+                     "[dist] idle resident worker pid %ld exited (%s)\n",
+                     pid, result->describe().c_str());
       }
-      if (!opts_.use_worker_pool) continue;  // completion = exit only
-      slot.lines.feed(slot.worker->read_stdout());
-      event = drain_replies(s, slot, nullptr) || event;
     }
     return event;
   };
@@ -711,14 +702,11 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       if (!stale) continue;
       // Declared dead: stop it (TERM -> grace -> KILL) and route the
       // shard through the ordinary failure path without waiting for a
-      // voluntary exit. Under the pool the resident process dies with its
-      // spec; the slot respawns a replacement on its next dispatch.
+      // voluntary exit. The resident process dies with its spec; the slot
+      // respawns a replacement on its next dispatch.
       const long pid = static_cast<long>(slot.worker->pid());
       const util::Subprocess::Result result = slot.worker->stop(500);
-      slot.worker.reset();
-      slot.lines = LineBuffer{};
-      slot.busy = false;
-      t.wall_ms += elapsed_ms(t.dispatch_time);
+      drop_worker(slot);
       ++stats_.dead_workers;
       if (opts_.verbose) {
         std::fprintf(stderr,
@@ -758,7 +746,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       continue;  // something changed; see if more work unblocked
     }
     if (!any_busy()) continue;  // pending work only; dispatch next pass
-    // Not a blind sleep: block on the live workers' pipes so a pooled
+    // Not a blind sleep: block on the live workers' pipes so a protocol
     // reply, stderr output, or the EOF of an exit wakes the loop the
     // moment it happens. The backoff only paces the purely time-based
     // scans (heartbeat staleness, straggler estimates) between wakes.
@@ -778,29 +766,27 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   // (`shutdown` + stdin EOF), give the fleet a short shared grace window,
   // then escalate to stop() for any that linger. Workers are gone before
   // run() returns, so the caller can delete the shard directory safely.
-  if (opts_.use_worker_pool) {
-    for (Slot& slot : slots) {
-      if (!slot.worker || slot.worker->waited()) {
-        slot.worker.reset();
-        continue;
-      }
-      WorkerCommand cmd;
-      cmd.kind = WorkerCommand::Kind::kShutdown;
-      (void)slot.worker->write_stdin(encode_worker_command(cmd));
-      slot.worker->close_stdin();
-    }
-    // Give quick exits one poll, then escalate. An idle resident holds no
-    // in-flight state, so there is nothing a long grace window could
-    // save — stop(0) (TERM, KILL backstop, reap) collapses a straggling
-    // worker's drain to one blocking reap instead of polling the fleet
-    // down over several scheduler quanta.
-    for (Slot& slot : slots) {
-      if (slot.worker && !slot.worker->waited() && !slot.worker->try_wait()) {
-        (void)util::Subprocess::wait_any_readable(slot.worker->poll_fds(), 1);
-        if (!slot.worker->try_wait()) (void)slot.worker->stop(/*grace_ms=*/0);
-      }
+  for (Slot& slot : slots) {
+    if (!slot.worker || slot.worker->waited()) {
       slot.worker.reset();
+      continue;
     }
+    WorkerCommand cmd;
+    cmd.kind = WorkerCommand::Kind::kShutdown;
+    (void)slot.worker->write_stdin(encode_worker_command(cmd));
+    slot.worker->close_stdin();
+  }
+  // Give quick exits one poll, then escalate. An idle resident holds no
+  // in-flight state, so there is nothing a long grace window could save —
+  // stop(0) (TERM, KILL backstop, reap) collapses a straggling worker's
+  // drain to one blocking reap instead of polling the fleet down over
+  // several scheduler quanta.
+  for (Slot& slot : slots) {
+    if (slot.worker && !slot.worker->waited() && !slot.worker->try_wait()) {
+      (void)util::Subprocess::wait_any_readable(slot.worker->poll_fds(), 1);
+      if (!slot.worker->try_wait()) (void)slot.worker->stop(/*grace_ms=*/0);
+    }
+    slot.worker.reset();
   }
 
   // Final shard records, then drop superseded specs from the plan: they
@@ -812,7 +798,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     s.stolen_from = specs[p].stolen_from;
     s.supersedes = specs[p].supersedes;
     s.superseded = track[p].state == State::kSuperseded;
-    s.attempts = std::max(1, track[p].spawns);
+    s.attempts = std::max(1, track[p].dispatches);
     s.slot = track[p].slot;
     s.wall_ms = track[p].wall_ms;
     s.seeds = static_cast<int>(specs[p].seeds.size());

@@ -20,10 +20,10 @@ namespace lcda::dist {
 /// resident worker is simply dropped; the next dispatch to its slot
 /// respawns a replacement and the in-flight spec is retried.
 ///
-/// `use_worker_pool = false` restores spawn-per-attempt
-/// (`--worker=<spec.json>`, exit status as the completion signal) behind
-/// the same scheduler — merged bytes are identical either way, which the
-/// tests pin.
+/// A busy slot resolves its spec in exactly one of two ways: a protocol
+/// reply (`done` resolves it, `failed` retries it), or the process ending
+/// (a crash, heartbeat staleness, or a superseded worker being stopped),
+/// which is always abnormal.
 ///
 /// On top of plain execution it mitigates stragglers and dead workers:
 ///
@@ -61,8 +61,8 @@ class Coordinator {
  public:
   struct Options {
     /// Program (and any leading arguments) of the worker; the coordinator
-    /// appends "--worker=<spec path>". Typically the running lcda_run
-    /// binary itself (util::self_executable_path).
+    /// appends "--worker-loop". Typically the running lcda_run binary
+    /// itself (util::self_executable_path).
     std::vector<std::string> worker_command;
 
     /// Where shard specs, manifests and progress sidecars live. Created
@@ -72,13 +72,7 @@ class Coordinator {
     int max_parallel = 1;  ///< concurrent worker processes (slots)
     int max_retries = 2;   ///< extra attempts per shard after the first
 
-    /// Keep one resident --worker-loop process per slot and dispatch
-    /// specs over its stdin/stdout pipes (the default); false spawns one
-    /// --worker process per shard attempt instead. Byte-identical merged
-    /// output either way.
-    bool use_worker_pool = true;
-
-    /// Shard lifecycle narration on stderr (spawn / done / retry /
+    /// Shard lifecycle narration on stderr (dispatch / done / retry /
     /// steal / banlist lines).
     bool verbose = true;
 
@@ -129,7 +123,7 @@ class Coordinator {
     int stolen_from = -1;    ///< parent shard for steal/duplicate specs
     bool supersedes = false; ///< was a whole-shard duplicate
     bool superseded = false; ///< worker stopped; seeds covered elsewhere
-    int attempts = 1;        ///< worker processes spawned for this shard
+    int attempts = 1;        ///< dispatches of this shard (one per attempt)
     int slot = -1;           ///< last slot it ran on
     double wall_ms = 0.0;    ///< total busy wall across attempts
     int seeds = 0;           ///< seeds the spec owned at the end
@@ -139,9 +133,9 @@ class Coordinator {
   /// "dist" object) and the one-line stderr summary.
   struct Stats {
     int planned = 0;    ///< specs at entry
-    int spawned = 0;    ///< shard dispatches (one per attempt, both modes)
+    int spawned = 0;    ///< shard dispatches (one per attempt)
     int pool_workers = 0;  ///< resident worker processes launched (incl.
-                           ///< replacements; 0 when the pool is off)
+                           ///< replacements)
     int retries = 0;
     int steals = 0;     ///< steal/duplicate specs created
     int stolen_seeds = 0;

@@ -25,7 +25,7 @@ enum class ShardMode { kRuns, kAggregate, kSpeedup };
 
 /// A self-contained slice of one study: everything a worker process needs
 /// to reproduce its share of the seeds bit-for-bit, serialized as JSON and
-/// handed to `lcda_run --worker=<spec.json>`.
+/// dispatched to a resident `lcda_run --worker-loop` process.
 ///
 /// Seeds are GLOBAL indices into the study's seed list, not a worker-local
 /// count: the aggregate/speedup modes derive each seed's stream with
@@ -97,13 +97,8 @@ struct ShardSpec {
   int stolen_from = -1;
   bool supersedes = false;
 
-  /// Crash injection for retry tests: fail_first_attempt aborts attempt 0
-  /// at entry (before any evaluation or cache traffic) with exit code 3;
-  /// fail_attempts=N generalizes it to every attempt < N. The
-  /// coordinator's retry then runs the shard clean, which keeps the merged
-  /// result — counters included — identical to a run without the crash.
-  bool fail_first_attempt = false;
-  int fail_attempts = 0;
+  /// Which attempt this dispatch is (0 first; the coordinator bumps it on
+  /// every retry). Attempt-0-only LCDA_FAULT injections key off it.
   int attempt = 0;
 };
 
@@ -118,9 +113,9 @@ void save_shard_spec(const ShardSpec& spec, const std::string& path);
 
 /// Checksum of a spec's study-identity fields (mode, scenario, strategy,
 /// episodes, seed partition, thresholds) — NOT of its bookkeeping (paths,
-/// attempt counter, crash flag). Workers echo it into their manifest;
-/// the merger refuses a manifest whose checksum disagrees with the spec,
-/// which catches stale result files in a reused shard directory.
+/// attempt counter). Workers echo it into their manifest; the merger
+/// refuses a manifest whose checksum disagrees with the spec, which
+/// catches stale result files in a reused shard directory.
 [[nodiscard]] std::uint64_t shard_spec_checksum(const ShardSpec& spec);
 
 /// One strategy's slice of a study (the planner's input): the strategy and
@@ -161,23 +156,18 @@ class ProgressWriter;
                                    core::PerformanceEvaluator* warm_evaluator =
                                        nullptr);
 
-/// The `lcda_run --worker=<spec.json>` entry point: loads the spec,
-/// honours crash injection, runs the shard, and writes the manifest
-/// (atomic temp-file + rename). Returns a process exit code; failures
-/// are reported on stderr for the coordinator to capture.
-[[nodiscard]] int run_worker(const std::string& spec_path);
-
 /// The hidden `lcda_run --worker-loop` entry point: a resident worker that
 /// reads lcda-worker-cmd-v1 command lines (protocol.h) from stdin and
-/// executes each `run <spec_path>` through the same path as run_worker,
-/// replying `done <manifest_path>` / `failed <reason>` on stdout. Across
+/// executes each `run <spec_path>` — load the spec, run_shard, publish the
+/// manifest (atomic temp-file + rename) — replying `done <manifest_path>`
+/// / `failed <reason>` on stdout. Across
 /// specs it keeps warm what is content-keyed and therefore result-neutral:
 /// the evaluator's striped cost-plan/layer-span memos (keyed by
 /// core::evaluation_fingerprint) and the process-wide mmap'd store segment
 /// cache. Everything stream- or seed-scoped (RNG cursors, run caches,
-/// counters, the EvalStore session) is rebuilt per spec, so a pooled study
-/// merges byte-identical to spawn-per-shard. Exits 0 on `shutdown` or
-/// stdin EOF.
+/// counters, the EvalStore session) is rebuilt per spec, so a worker's
+/// second spec is byte-identical to a fresh process's first. Exits 0 on
+/// `shutdown` or stdin EOF.
 [[nodiscard]] int run_worker_loop();
 
 }  // namespace lcda::dist

@@ -93,8 +93,6 @@ util::Json shard_spec_to_json(const ShardSpec& spec) {
   if (spec.heartbeat_ms != 0) j["heartbeat_ms"] = spec.heartbeat_ms;
   if (spec.stolen_from >= 0) j["stolen_from"] = spec.stolen_from;
   if (spec.supersedes) j["supersedes"] = true;
-  if (spec.fail_first_attempt) j["fail_first_attempt"] = true;
-  if (spec.fail_attempts != 0) j["fail_attempts"] = spec.fail_attempts;
   j["attempt"] = spec.attempt;
   return j;
 }
@@ -140,12 +138,6 @@ ShardSpec shard_spec_from_json(const util::Json& j) {
   }
   if (j.contains("supersedes")) {
     spec.supersedes = j.at("supersedes").as_bool();
-  }
-  if (j.contains("fail_first_attempt")) {
-    spec.fail_first_attempt = j.at("fail_first_attempt").as_bool();
-  }
-  if (j.contains("fail_attempts")) {
-    spec.fail_attempts = static_cast<int>(j.at("fail_attempts").as_int());
   }
   spec.attempt = static_cast<int>(j.at("attempt").as_int());
   // A spec edited out from under its checksum must fail before it can

@@ -292,22 +292,9 @@ util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
 
 namespace {
 
-/// Crash injection aborts at entry — before any evaluation or cache
-/// write — so the retry runs the shard clean and the merged study, cache
-/// counters included, is identical to one without the crash.
-bool injected_crash(const ShardSpec& spec) {
-  if ((spec.fail_first_attempt && spec.attempt == 0) ||
-      spec.attempt < spec.fail_attempts) {
-    std::fprintf(stderr, "worker: shard %d injected failure on attempt %d\n",
-                 spec.index, spec.attempt);
-    return true;
-  }
-  return false;
-}
-
-/// The shared per-spec execution core behind --worker and --worker-loop:
-/// progress sidecar lifecycle, run_shard, atomic manifest publication, and
-/// the completion line on stderr. Throws on any failure.
+/// One dispatched spec: progress sidecar lifecycle, run_shard, atomic
+/// manifest publication, and the completion line on stderr. Throws on any
+/// failure.
 void execute_spec(const ShardSpec& spec,
                   core::PerformanceEvaluator* warm_evaluator) {
   if (spec.result_path.empty()) {
@@ -355,25 +342,12 @@ void send_reply(const WorkerReply& reply) {
 
 }  // namespace
 
-int run_worker(const std::string& spec_path) {
+int run_worker_loop() {
   // Workers always meter: the manifest's "obs" delta is how store totals
   // and engine counters reach the coordinator's merged snapshot. Metering
   // is counter bumps at run/round granularity — noise next to a spec's
   // evaluation work — and it never touches an output byte.
   obs::Registry::instance().enable();
-  try {
-    const ShardSpec spec = load_shard_spec(spec_path);
-    if (injected_crash(spec)) return 3;
-    execute_spec(spec, nullptr);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "lcda_run --worker: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_worker_loop() {
-  obs::Registry::instance().enable();  // see run_worker
   // Warm evaluators keyed by evaluation identity: a spec whose
   // evaluation_fingerprint matches an earlier one reuses its evaluator,
   // so the striped cost-plan/layer-span memos survive across specs.
@@ -404,13 +378,6 @@ int run_worker_loop() {
     WorkerReply reply;
     try {
       const ShardSpec spec = load_shard_spec(cmd->spec_path);
-      if (injected_crash(spec)) {
-        // Die like a crashed worker would (the coordinator must see
-        // process death with "exit 3", not a polite `failed` reply) so the
-        // pool's respawn-and-retry path is what the injection exercises.
-        std::fflush(stderr);
-        ::_exit(3);
-      }
       core::PerformanceEvaluator* warm_evaluator = nullptr;
       const core::ExperimentConfig& config = spec.scenario.config;
       if (config.evaluator_kind == core::EvaluatorKind::kSurrogate) {

@@ -287,6 +287,21 @@ TEST(Protocol, WorkerLoopAnswersPingAndDrainsOnShutdown) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kFailed);
 
+  // A spec the worker cannot load is a `failed` reply with a reason, not a
+  // dead process: the loop keeps serving.
+  dist::WorkerCommand run;
+  run.kind = dist::WorkerCommand::Kind::kRun;
+  run.spec_path = temp_dir("loop_missing_spec") + "/no-such-spec.json";
+  ASSERT_TRUE(worker.write_stdin(dist::encode_worker_command(run)));
+  reply = next_reply();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kFailed);
+  EXPECT_FALSE(reply->reason.empty());
+  ASSERT_TRUE(worker.write_stdin(ping_line));
+  reply = next_reply();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kPong);
+
   // `shutdown` drains the loop: clean exit 0, no kill needed.
   dist::WorkerCommand shutdown;
   shutdown.kind = dist::WorkerCommand::Kind::kShutdown;
@@ -315,7 +330,6 @@ TEST(ShardSpec, RoundTripsThroughJson) {
   spec.threshold = 0.25;
   spec.threshold_fraction = 0.9;
   spec.result_path = "/tmp/r.json";
-  spec.fail_first_attempt = true;
   spec.attempt = 1;
 
   const dist::ShardSpec back =
@@ -330,7 +344,6 @@ TEST(ShardSpec, RoundTripsThroughJson) {
   EXPECT_EQ(back.threshold, spec.threshold);
   EXPECT_EQ(back.threshold_fraction, spec.threshold_fraction);
   EXPECT_EQ(back.result_path, spec.result_path);
-  EXPECT_EQ(back.fail_first_attempt, spec.fail_first_attempt);
   EXPECT_EQ(back.attempt, spec.attempt);
   EXPECT_EQ(dist::shard_spec_checksum(back), dist::shard_spec_checksum(spec));
 
@@ -506,9 +519,11 @@ TEST(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
       {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, kSeeds,
       /*shards=*/2, NAN, 0.95);
   ASSERT_EQ(specs.size(), 2u);
-  // Crash injection: shard 0's first attempt aborts at entry; the
-  // coordinator must retry it and the merged bytes must not change.
-  specs[0].fail_first_attempt = true;
+  // Crash injection: shard 0 (seeds {0,1}) dies before evaluating seed 0
+  // on its first attempt; the coordinator must retry it and the merged
+  // bytes must not change. Set only after the in-process reference: this
+  // process parses LCDA_FAULT once, on first use, and must never arm it.
+  const ScopedEnv die("LCDA_FAULT", "kill@seed:0");
 
   dist::Coordinator::Options opts;
   opts.worker_command = {runner};
@@ -520,7 +535,7 @@ TEST(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
   // append/erase specs, so pin it off (it has its own tests below).
   opts.enable_steal = false;
   dist::Coordinator(opts).run(specs);
-  EXPECT_EQ(specs[0].attempt, 1);  // the injected failure was retried
+  EXPECT_EQ(specs[0].attempt, 1);  // the injected crash was retried
   EXPECT_EQ(specs[1].attempt, 0);
 
   std::vector<util::Json> manifests;
@@ -688,13 +703,11 @@ TEST(Distributed, DeadWorkerIsReapedThroughHeartbeatTimeout) {
 
 // --------------------------------------------- persistent worker pool
 
-/// Drives `specs` through a coordinator (pooled or spawn-per-attempt) and
-/// returns the executed plan with its loaded manifests.
+/// Drives `specs` through a coordinator and returns the executed plan
+/// with its loaded manifests.
 std::pair<std::vector<dist::ShardSpec>, std::vector<util::Json>>
 run_through_coordinator(const std::string& runner,
-                        std::vector<dist::ShardSpec> specs, bool pool,
-                        const char* tag,
-                        dist::Coordinator::Stats* stats = nullptr) {
+                        std::vector<dist::ShardSpec> specs, const char* tag) {
   dist::Coordinator::Options opts;
   opts.worker_command = {runner};
   opts.shard_dir = temp_dir(tag);
@@ -702,15 +715,9 @@ run_through_coordinator(const std::string& runner,
   opts.max_retries = 0;
   opts.verbose = false;
   opts.enable_steal = false;
-  opts.use_worker_pool = pool;
   dist::Coordinator coordinator(opts);
   coordinator.run(specs);
-  if (pool) {
-    EXPECT_GE(coordinator.stats().pool_workers, 1);
-  } else {
-    EXPECT_EQ(coordinator.stats().pool_workers, 0);
-  }
-  if (stats != nullptr) *stats = coordinator.stats();
+  EXPECT_GE(coordinator.stats().pool_workers, 1);
   std::vector<util::Json> manifests;
   for (const dist::ShardSpec& spec : specs) {
     manifests.push_back(dist::load_shard_manifest(spec));
@@ -718,16 +725,15 @@ run_through_coordinator(const std::string& runner,
   return {std::move(specs), std::move(manifests)};
 }
 
-TEST(Distributed, PooledMatchesNoPoolAndInProcessInAllModes) {
+TEST(Distributed, PooledMatchesInProcessInAllModes) {
   const std::string runner = lcda_run_path();
   if (runner.empty()) {
     GTEST_SKIP() << "lcda_run binary not next to the test binary";
   }
   const core::Scenario scenario = small_scenario();
 
-  // Aggregate mode: merged bytes must agree three ways — in-process
-  // shards (the merge contract's reference), the resident pool, and
-  // spawn-per-attempt.
+  // Aggregate mode: merged bytes must agree between in-process shards (the
+  // merge contract's reference) and the resident pool.
   {
     auto specs = dist::plan_shards(
         scenario, dist::ShardMode::kAggregate,
@@ -738,15 +744,9 @@ TEST(Distributed, PooledMatchesNoPoolAndInProcessInAllModes) {
             dist::merge_aggregate(specs, run_shards_in_process(specs)))
             .dump(2);
     const auto [pool_specs, pool_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/true, "pool_agg");
+        run_through_coordinator(runner, specs, "pool_agg");
     EXPECT_EQ(core::aggregate_to_json(
                   dist::merge_aggregate(pool_specs, pool_manifests))
-                  .dump(2),
-              reference);
-    const auto [spawn_specs, spawn_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/false, "nopool_agg");
-    EXPECT_EQ(core::aggregate_to_json(
-                  dist::merge_aggregate(spawn_specs, spawn_manifests))
                   .dump(2),
               reference);
   }
@@ -761,15 +761,9 @@ TEST(Distributed, PooledMatchesNoPoolAndInProcessInAllModes) {
             dist::merge_speedup(specs, run_shards_in_process(specs)))
             .dump(2);
     const auto [pool_specs, pool_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/true, "pool_speedup");
+        run_through_coordinator(runner, specs, "pool_speedup");
     EXPECT_EQ(core::speedup_study_to_json(
                   dist::merge_speedup(pool_specs, pool_manifests))
-                  .dump(2),
-              reference);
-    const auto [spawn_specs, spawn_manifests] = run_through_coordinator(
-        runner, specs, /*pool=*/false, "nopool_speedup");
-    EXPECT_EQ(core::speedup_study_to_json(
-                  dist::merge_speedup(spawn_specs, spawn_manifests))
                   .dump(2),
               reference);
   }
@@ -795,11 +789,8 @@ TEST(Distributed, PooledMatchesNoPoolAndInProcessInAllModes) {
     };
     const std::string reference = render(specs, run_shards_in_process(specs));
     const auto [pool_specs, pool_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/true, "pool_runs");
+        run_through_coordinator(runner, specs, "pool_runs");
     EXPECT_EQ(render(pool_specs, pool_manifests), reference);
-    const auto [spawn_specs, spawn_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/false, "nopool_runs");
-    EXPECT_EQ(render(spawn_specs, spawn_manifests), reference);
   }
 }
 
@@ -939,7 +930,7 @@ TEST(Distributed, ExhaustedRetriesFailLoudly) {
       scenario, dist::ShardMode::kAggregate,
       {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, 2,
       /*shards=*/1, NAN, 0.95);
-  specs[0].fail_first_attempt = true;
+  const ScopedEnv die("LCDA_FAULT", "kill@seed:0");
 
   dist::Coordinator::Options opts;
   opts.worker_command = {runner};
@@ -951,8 +942,8 @@ TEST(Distributed, ExhaustedRetriesFailLoudly) {
     dist::Coordinator(opts).run(specs);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("exit 3"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("injected failure"),
+    EXPECT_NE(std::string(e.what()).find("exit 42"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("dying at seed"),
               std::string::npos);
   }
 }
