@@ -131,7 +131,7 @@ BENCHMARK(BM_ResponseParse);
 void BM_SimulatedGpt4Turn(benchmark::State& state) {
   llm::SimulatedGpt4 gpt;
   llm::PromptBuilder builder{search::SearchSpace{paper_config().space}, {}};
-  std::vector<llm::HistoryEntry> history(20);
+  std::vector<llm::HistoryEntry> history(static_cast<std::size_t>(state.range(0)));
   for (auto& h : history) {
     h.design.rollout = kRollout;
     h.performance = 0.4;
@@ -141,7 +141,7 @@ void BM_SimulatedGpt4Turn(benchmark::State& state) {
     benchmark::DoNotOptimize(gpt.complete(req));
   }
 }
-BENCHMARK(BM_SimulatedGpt4Turn);
+BENCHMARK(BM_SimulatedGpt4Turn)->Arg(0)->Arg(20)->Arg(64);
 
 void BM_RlProposeFeedback(benchmark::State& state) {
   search::RlOptimizer rl{search::SearchSpace{paper_config().space}};

@@ -71,8 +71,14 @@ class PromptBuilder {
   /// progression, snapped to the space): "[[32,3],[32,3],[64,3],...]".
   [[nodiscard]] std::string example_rollout() const;
 
+  /// The static prompt_u text before the history block.
+  [[nodiscard]] std::string render_header() const;
+
   search::SearchSpace space_;
   Options opts_;
+  /// render_header(), once at construction: build() only appends the
+  /// history window and the fixed closing request to it.
+  const std::string header_;
 };
 
 }  // namespace lcda::llm

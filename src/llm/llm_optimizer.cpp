@@ -22,11 +22,12 @@ std::string LlmOptimizer::name() const {
 
 search::Design LlmOptimizer::propose(util::Rng& rng) {
   const ChatRequest request = builder_.build(history_);
+  const std::string prompt = request.full_text();
   for (int attempt = 0; attempt <= opts_.max_parse_retries; ++attempt) {
     const ChatResponse response = client_->complete(request);
     const ParseResult parsed = parse_design_response(response.content, space_);
     Exchange ex;
-    ex.prompt = request.full_text();
+    ex.prompt = prompt;
     ex.response = response.content;
     ex.parsed_ok = parsed.ok;
     ex.repairs = parsed.repairs;

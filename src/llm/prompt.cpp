@@ -1,12 +1,16 @@
 #include "lcda/llm/prompt.h"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
 namespace lcda::llm {
 
 std::string ChatRequest::full_text() const {
+  std::size_t size = 0;
+  for (const auto& m : messages) size += m.content.size() + 1;
   std::string out;
+  out.reserve(size);
   for (const auto& m : messages) {
     out += m.content;
     out += '\n';
@@ -29,8 +33,53 @@ Objective objective_from_name(std::string_view name) {
                               std::string(name) + "\"");
 }
 
+namespace {
+
+constexpr std::string_view kHistoryIntro =
+    "Here are some experimental results that you can use as a reference:\n";
+constexpr std::string_view kFooter =
+    "Please suggest a rollout list that can improve the model's performance "
+    "beyond the experimental results provided above. Please do not include "
+    "anything else other than the rollout list and the hardware configuration "
+    "in your response.";
+
+void append_int(std::string& out, int v) {
+  char buf[16];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+/// The default `operator<<(double)` text: %g with precision 6.
+void append_performance(std::string& out, double v) {
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6);
+  out.append(buf, res.ptr);
+}
+
+void append_hardware(std::string& out, const cim::HardwareConfig& hw) {
+  out += '[';
+  out += cim::device_name(hw.device);
+  for (int v : {hw.bits_per_cell, hw.adc_bits, hw.xbar_size, hw.col_mux}) {
+    out += ',';
+    append_int(out, v);
+  }
+  out += ']';
+}
+
+void append_history_line(std::string& out, const HistoryEntry& entry) {
+  out += "rollout=";
+  out += entry.design.rollout_text();
+  out += " hardware=";
+  append_hardware(out, entry.design.hw);
+  out += " performance=";
+  append_performance(out, entry.performance);
+}
+
+}  // namespace
+
 PromptBuilder::PromptBuilder(search::SearchSpace space, Options opts)
-    : space_(std::move(space)), opts_(opts) {}
+    : space_(std::move(space)), opts_(opts), header_(render_header()) {}
 
 std::string PromptBuilder::example_rollout() const {
   // Progressive widening from 32, doubling every two layers, all 3x3 —
@@ -44,33 +93,19 @@ std::string PromptBuilder::example_rollout() const {
 }
 
 std::string PromptBuilder::hardware_text(const cim::HardwareConfig& hw) {
-  std::ostringstream os;
-  os << '[' << cim::device_name(hw.device) << ',' << hw.bits_per_cell << ','
-     << hw.adc_bits << ',' << hw.xbar_size << ',' << hw.col_mux << ']';
-  return os.str();
+  std::string out;
+  append_hardware(out, hw);
+  return out;
 }
 
 std::string PromptBuilder::history_line(const HistoryEntry& entry) {
-  std::ostringstream os;
-  os << "rollout=" << entry.design.rollout_text()
-     << " hardware=" << hardware_text(entry.design.hw)
-     << " performance=" << entry.performance;
-  return os.str();
+  std::string out;
+  append_history_line(out, entry);
+  return out;
 }
 
-ChatRequest PromptBuilder::build(const std::vector<HistoryEntry>& history) const {
-  ChatRequest req;
-
-  // prompt_s of Algorithm 1.
-  ChatMessage system;
-  system.role = ChatMessage::Role::kSystem;
-  system.content = opts_.codesign_context
-                       ? "You are an expert in the field of neural architecture "
-                         "search."
-                       : "You are a helpful assistant.";
-  req.messages.push_back(std::move(system));
-
-  // prompt_u of Algorithm 1.
+std::string PromptBuilder::render_header() const {
+  // prompt_u of Algorithm 1, up to the history block.
   std::ostringstream os;
   if (opts_.codesign_context) {
     os << "Your task is to assist me in selecting the best rollout numbers "
@@ -115,25 +150,40 @@ ChatRequest PromptBuilder::build(const std::vector<HistoryEntry>& history) const
        << ") followed on the next line by hardware=[device,bits_per_cell,"
           "adc_bits,xbar_size,col_mux] (e.g. hardware=[RRAM,2,6,128,8]).\n";
   }
+  return os.str();
+}
 
-  if (!history.empty()) {
-    os << "Here are some experimental results that you can use as a "
-          "reference:\n";
-    const std::size_t start =
-        history.size() > opts_.max_history ? history.size() - opts_.max_history : 0;
-    for (std::size_t i = start; i < history.size(); ++i) {
-      os << history_line(history[i]) << "\n";
-    }
-  }
+ChatRequest PromptBuilder::build(const std::vector<HistoryEntry>& history) const {
+  ChatRequest req;
 
-  os << "Please suggest a rollout list that can improve the model's "
-        "performance beyond the experimental results provided above. Please "
-        "do not include anything else other than the rollout list and the "
-        "hardware configuration in your response.";
+  // prompt_s of Algorithm 1.
+  ChatMessage system;
+  system.role = ChatMessage::Role::kSystem;
+  system.content = opts_.codesign_context
+                       ? "You are an expert in the field of neural architecture "
+                         "search."
+                       : "You are a helpful assistant.";
+  req.messages.push_back(std::move(system));
 
+  // prompt_u of Algorithm 1: the static header, the newest max_history
+  // entries, the closing request.
+  const std::size_t start =
+      history.size() > opts_.max_history ? history.size() - opts_.max_history : 0;
   ChatMessage user;
   user.role = ChatMessage::Role::kUser;
-  user.content = os.str();
+  std::string& text = user.content;
+  // ~100 bytes per history line at the default 6 layers.
+  text.reserve(header_.size() + kHistoryIntro.size() +
+               (history.size() - start) * 128 + kFooter.size());
+  text += header_;
+  if (!history.empty()) {
+    text += kHistoryIntro;
+    for (std::size_t i = start; i < history.size(); ++i) {
+      append_history_line(text, history[i]);
+      text += '\n';
+    }
+  }
+  text += kFooter;
   req.messages.push_back(std::move(user));
   return req;
 }

@@ -1,63 +1,60 @@
 #include "lcda/llm/prompt_reader.h"
 
+#include <algorithm>
+#include <string>
+
 #include "lcda/util/strings.h"
 
 namespace lcda::llm {
 
 namespace {
 
-/// Extracts the integer list between the first '{' after `key` and the
-/// matching '}'.
-std::vector<int> braced_ints_after(std::string_view text, std::string_view key) {
+constexpr std::size_t npos = std::string_view::npos;
+
+/// Extracts the integer list between the first '{' after `key` (lower
+/// case, looked up in `lower`) and the matching '}'. `text` and `lower` are
+/// the prompt and its to_lower copy, so offsets agree.
+std::vector<int> braced_ints_after(std::string_view text, std::string_view lower,
+                                   std::string_view key) {
   std::vector<int> out;
-  const std::string lower = util::to_lower(text);
-  const std::string lkey = util::to_lower(key);
-  const std::size_t pos = lower.find(lkey);
-  if (pos == std::string::npos) return out;
+  const std::size_t pos = lower.find(key);
+  if (pos == npos) return out;
   const std::size_t open = text.find('{', pos);
-  if (open == std::string::npos) return out;
+  if (open == npos) return out;
   const std::size_t close = text.find('}', open);
-  if (close == std::string::npos) return out;
+  if (close == npos) return out;
   for (long long v : util::extract_ints(text.substr(open + 1, close - open - 1))) {
     out.push_back(static_cast<int>(v));
   }
   return out;
 }
 
-std::vector<cim::DeviceType> devices_after(std::string_view text,
+std::vector<cim::DeviceType> devices_after(std::string_view lower,
                                            std::string_view key) {
   std::vector<cim::DeviceType> out;
-  const std::string lower = util::to_lower(text);
-  const std::size_t pos = lower.find(util::to_lower(key));
-  if (pos == std::string::npos) return out;
+  const std::size_t pos = lower.find(key);
+  if (pos == npos) return out;
   const std::size_t open = lower.find('{', pos);
-  const std::size_t close = open == std::string::npos ? std::string::npos
-                                                      : lower.find('}', open);
-  if (close == std::string::npos) return out;
-  const std::string_view body =
-      std::string_view(lower).substr(open + 1, close - open - 1);
-  if (body.find("rram") != std::string_view::npos) {
-    out.push_back(cim::DeviceType::kRram);
-  }
-  if (body.find("fefet") != std::string_view::npos) {
-    out.push_back(cim::DeviceType::kFefet);
-  }
-  if (body.find("sram") != std::string_view::npos) {
-    out.push_back(cim::DeviceType::kSram);
-  }
+  const std::size_t close = open == npos ? npos : lower.find('}', open);
+  if (close == npos) return out;
+  const std::string_view body = lower.substr(open + 1, close - open - 1);
+  if (body.find("rram") != npos) out.push_back(cim::DeviceType::kRram);
+  if (body.find("fefet") != npos) out.push_back(cim::DeviceType::kFefet);
+  if (body.find("sram") != npos) out.push_back(cim::DeviceType::kSram);
   return out;
 }
 
-/// Parses one "rollout=... hardware=... performance=..." history line.
-bool parse_history_line(std::string_view line, HistoryEntry& out) {
+/// Parses one "rollout=... hardware=... performance=..." history line;
+/// `lower` is the line's to_lower copy (for the device name).
+bool parse_history_line(std::string_view line, std::string_view lower,
+                        HistoryEntry& out) {
   const std::size_t rpos = line.find("rollout=");
+  if (rpos == npos) return false;
   const std::size_t ppos = line.find("performance=");
-  if (rpos == std::string_view::npos || ppos == std::string_view::npos) {
-    return false;
-  }
+  if (ppos == npos) return false;
   // Rollout pairs between "rollout=" and "hardware=" (or "performance=").
   const std::size_t hpos = line.find("hardware=");
-  const std::size_t rollout_end = hpos != std::string_view::npos ? hpos : ppos;
+  const std::size_t rollout_end = hpos != npos ? hpos : ppos;
   const auto ints =
       util::extract_ints(line.substr(rpos + 8, rollout_end - (rpos + 8)));
   if (ints.size() < 2 || ints.size() % 2 != 0) return false;
@@ -68,16 +65,16 @@ bool parse_history_line(std::string_view line, HistoryEntry& out) {
     spec.kernel = static_cast<int>(ints[i + 1]);
     out.design.rollout.push_back(spec);
   }
-  if (hpos != std::string_view::npos) {
-    const std::string_view hw_part = line.substr(hpos, ppos - hpos);
-    if (util::contains_icase(hw_part, "fefet")) {
+  if (hpos != npos) {
+    const std::string_view hw_lower = lower.substr(hpos, ppos - hpos);
+    if (hw_lower.find("fefet") != npos) {
       out.design.hw.device = cim::DeviceType::kFefet;
-    } else if (util::contains_icase(hw_part, "sram")) {
+    } else if (hw_lower.find("sram") != npos) {
       out.design.hw.device = cim::DeviceType::kSram;
     } else {
       out.design.hw.device = cim::DeviceType::kRram;
     }
-    const auto hw_ints = util::extract_ints(hw_part);
+    const auto hw_ints = util::extract_ints(line.substr(hpos, ppos - hpos));
     if (hw_ints.size() >= 4) {
       out.design.hw.bits_per_cell = static_cast<int>(hw_ints[0]);
       out.design.hw.adc_bits = static_cast<int>(hw_ints[1]);
@@ -96,28 +93,30 @@ bool parse_history_line(std::string_view line, HistoryEntry& out) {
 PromptFacts read_prompt(std::string_view text) {
   PromptFacts facts;
 
-  facts.codesign_context =
-      util::contains_icase(text, "neural architecture search") ||
-      util::contains_icase(text, "model architecture");
-  if (util::contains_icase(text, "inference latency")) {
-    facts.objective = Objective::kLatency;
-  } else {
-    facts.objective = Objective::kEnergy;
-  }
+  // One lower-cased copy, byte for byte the same length as `text`: every
+  // case-insensitive lookup is a plain find on it, at the same offsets.
+  const std::string lowered = util::to_lower(text);
+  const std::string_view lower = lowered;
 
-  facts.channel_choices = braced_ints_after(text, "channels per layer:");
-  facts.kernel_choices = braced_ints_after(text, "kernel sizes:");
-  facts.device_choices = devices_after(text, "device in");
-  facts.bits_per_cell_choices = braced_ints_after(text, "bits_per_cell in");
-  facts.adc_bits_choices = braced_ints_after(text, "adc_bits in");
-  facts.xbar_choices = braced_ints_after(text, "xbar_size in");
-  facts.mux_choices = braced_ints_after(text, "col_mux in");
+  facts.codesign_context = lower.find("neural architecture search") != npos ||
+                           lower.find("model architecture") != npos;
+  facts.objective = lower.find("inference latency") != npos
+                        ? Objective::kLatency
+                        : Objective::kEnergy;
+
+  facts.channel_choices = braced_ints_after(text, lower, "channels per layer:");
+  facts.kernel_choices = braced_ints_after(text, lower, "kernel sizes:");
+  facts.device_choices = devices_after(lower, "device in");
+  facts.bits_per_cell_choices = braced_ints_after(text, lower, "bits_per_cell in");
+  facts.adc_bits_choices = braced_ints_after(text, lower, "adc_bits in");
+  facts.xbar_choices = braced_ints_after(text, lower, "xbar_size in");
+  facts.mux_choices = braced_ints_after(text, lower, "col_mux in");
 
   // "...rollout list consisting of N number pairs" (expert prompt) or
   // "...list of N number pairs" (naive prompt): the integer directly
   // preceding the "number pairs" marker.
   const std::size_t pairs_marker = text.find(" number pairs");
-  if (pairs_marker != std::string_view::npos) {
+  if (pairs_marker != npos) {
     const std::size_t window = std::min<std::size_t>(pairs_marker, 24);
     const auto ints =
         util::extract_ints(text.substr(pairs_marker - window, window));
@@ -126,9 +125,17 @@ PromptFacts read_prompt(std::string_view text) {
     }
   }
 
-  for (const std::string& line : util::split(text, '\n')) {
+  // Every '\n'-separated line (the text after the last newline included),
+  // as views into `text` and `lower`.
+  for (std::size_t begin = 0; begin <= text.size();) {
+    std::size_t end = text.find('\n', begin);
+    if (end == npos) end = text.size();
     HistoryEntry entry;
-    if (parse_history_line(line, entry)) facts.history.push_back(std::move(entry));
+    if (parse_history_line(text.substr(begin, end - begin),
+                           lower.substr(begin, end - begin), entry)) {
+      facts.history.push_back(std::move(entry));
+    }
+    begin = end + 1;
   }
   return facts;
 }

@@ -1,5 +1,6 @@
 #include "lcda/search/design.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "lcda/util/rng.h"
@@ -7,14 +8,20 @@
 namespace lcda::search {
 
 std::string Design::rollout_text() const {
-  std::ostringstream os;
-  os << '[';
+  std::string out;
+  out.reserve(2 + rollout.size() * 10);
+  char buf[16];
+  out += '[';
   for (std::size_t i = 0; i < rollout.size(); ++i) {
-    if (i) os << ',';
-    os << '[' << rollout[i].channels << ',' << rollout[i].kernel << ']';
+    if (i) out += ',';
+    out += '[';
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), rollout[i].channels).ptr);
+    out += ',';
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), rollout[i].kernel).ptr);
+    out += ']';
   }
-  os << ']';
-  return os.str();
+  out += ']';
+  return out;
 }
 
 std::string Design::describe() const {

@@ -17,10 +17,11 @@ namespace lcda::util {
 /// True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Case-insensitive substring search.
+/// Case-insensitive substring search; folds ASCII 'A'-'Z' only.
 [[nodiscard]] bool contains_icase(std::string_view haystack, std::string_view needle);
 
-/// Lower-cases ASCII.
+/// Lower-cases ASCII 'A'-'Z'; every other byte (digits, punctuation,
+/// bytes >= 0x80) is copied unchanged, so offsets match the input.
 [[nodiscard]] std::string to_lower(std::string_view s);
 
 /// Parses a decimal integer; nullopt on any trailing garbage.

@@ -1,6 +1,5 @@
 #include "lcda/util/strings.h"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -9,7 +8,9 @@ namespace lcda::util {
 
 namespace {
 bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-char lower(char c) { return static_cast<char>(std::tolower(static_cast<unsigned char>(c))); }
+/// ASCII-only fold: 'A'..'Z' map to 'a'..'z', every other byte passes
+/// through (what std::tolower does in the "C" locale, without the locale).
+char lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c; }
 }  // namespace
 
 std::string_view trim(std::string_view s) {
@@ -54,8 +55,7 @@ bool contains_icase(std::string_view haystack, std::string_view needle) {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](char c) { return lower(c); });
+  for (char& c : out) c = lower(c);
   return out;
 }
 

@@ -4,9 +4,13 @@
 // an uncontrolled LLM in production.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <string>
+#include <vector>
 
 #include "lcda/llm/parser.h"
+#include "lcda/llm/prompt.h"
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
@@ -67,6 +71,75 @@ TEST_P(PromptReaderFuzz, NeverCrashes) {
     EXPECT_LE(facts.conv_layers, 32);
     for (const auto& h : facts.history) {
       EXPECT_FALSE(h.design.rollout.empty());
+    }
+  }
+}
+
+/// A real Algorithm-1 prompt (energy, latency or naive framing) with
+/// `entries` history lines of sampled designs.
+std::string real_prompt(util::Rng& rng, int entries) {
+  const search::SearchSpace space;
+  llm::PromptBuilder::Options opts;
+  opts.objective =
+      rng.chance(0.5) ? llm::Objective::kEnergy : llm::Objective::kLatency;
+  opts.codesign_context = rng.chance(0.7);
+  std::vector<llm::HistoryEntry> history;
+  for (int i = 0; i < entries; ++i) {
+    llm::HistoryEntry h;
+    h.design = space.sample(rng);
+    h.performance = rng.chance(0.1) ? -1.0 : rng.uniform(-0.5, 1.0);
+    history.push_back(h);
+  }
+  return llm::PromptBuilder(space, opts).build(history).full_text();
+}
+
+/// Truncation, byte flips, case flips, dropped and doubled newlines.
+void mutate(util::Rng& rng, std::string& text) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 8));
+  for (int e = 0; e < edits && !text.empty(); ++e) {
+    const std::size_t at = rng.index(text.size());
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        text.resize(at);
+        break;
+      case 1:
+        text[at] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2:
+        if (std::isalpha(static_cast<unsigned char>(text[at]))) text[at] ^= 0x20;
+        break;
+      case 3:
+      case 4: {
+        const std::size_t nl = text.find('\n', at);
+        if (nl == std::string::npos) break;
+        if (rng.chance(0.5)) {
+          text.erase(nl, 1);
+        } else {
+          text.insert(nl, 1, '\n');
+        }
+        break;
+      }
+    }
+  }
+}
+
+TEST_P(PromptReaderFuzz, MutatedRealPromptsKeepInvariants) {
+  util::Rng rng(GetParam());
+  for (int entries : {0, 20, 80}) {
+    for (int i = 0; i < 40; ++i) {
+      std::string text = real_prompt(rng, entries);
+      if (i > 0) mutate(rng, text);  // i == 0: the unmutated prompt
+      const llm::PromptFacts facts = llm::read_prompt(text);
+      EXPECT_GE(facts.conv_layers, 1);
+      EXPECT_LE(facts.conv_layers, 32);
+      for (const auto& h : facts.history) {
+        EXPECT_FALSE(h.design.rollout.empty());
+      }
+      if (i == 0) {
+        EXPECT_FALSE(facts.channel_choices.empty());
+        EXPECT_EQ(facts.history.size(),
+                  static_cast<std::size_t>(std::min(entries, 64)));
+      }
     }
   }
 }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string_view>
 
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
@@ -103,6 +108,32 @@ TEST(Prompt, HardwareTextFormat) {
   hw.xbar_size = 256;
   hw.col_mux = 4;
   EXPECT_EQ(PromptBuilder::hardware_text(hw), "[FeFET,4,5,256,4]");
+}
+
+TEST(Prompt, PerformanceTextMatchesOstream) {
+  // The history-line number is the default `operator<<(double)` text (%g,
+  // precision 6); the ostream is the reference.
+  const double values[] = {0.0,
+                           -1.0,
+                           0.1 + 0.2,
+                           1e-5,
+                           123456789.0,
+                           1e300,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (double v : values) {
+    HistoryEntry h;
+    h.design = vgg_design();
+    h.performance = v;
+    std::ostringstream expected;
+    expected << v;
+    const std::string line = PromptBuilder::history_line(h);
+    const std::size_t at = line.find(" performance=");
+    ASSERT_NE(at, std::string::npos) << line;
+    EXPECT_EQ(line.substr(at + 13), expected.str()) << line;
+  }
 }
 
 // ---------------------------------------------------------- PromptReader
@@ -442,6 +473,61 @@ TEST(LlmOptimizer, HistoryFlowsIntoPrompt) {
   (void)opt.propose(rng);
   const std::string& second_prompt = client->requests().back().full_text();
   EXPECT_NE(second_prompt.find("performance=0.777"), std::string::npos);
+}
+
+std::uint64_t fnv1a_update(std::uint64_t h, std::string_view bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Reward fed back after episode `ep`: mostly ordinary values, with
+/// invalid-hardware -1s and tiny/huge magnitudes that take the %g
+/// exponent form in the prompt's performance text.
+double scripted_reward(int ep, std::uint64_t seed) {
+  if (ep % 7 == 3) return -1.0;
+  if (ep % 11 == 5) return 1.2345e-7 * (ep + 1);
+  if (ep % 13 == 8) return 9.87654321e6 + ep;
+  return 0.1 + 0.0371 * ((ep + static_cast<int>(seed)) % 9);
+}
+
+TEST(LlmOptimizer, TranscriptBytesPinnedPastHistoryCap) {
+  // Every prompt and response of 100-episode runs (past the 64-entry
+  // history cap) for the energy, latency and naive prompts, three seeds
+  // each, hashed in order. The constant pins the Algorithm-1 text bytes.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t exchanges = 0;
+  for (int variant = 0; variant < 3; ++variant) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SimulatedGpt4::Options gpt;
+      gpt.seed = seed;
+      LlmOptimizer::Options opts;
+      opts.prompt.objective =
+          variant == 1 ? Objective::kLatency : Objective::kEnergy;
+      opts.prompt.codesign_context = variant != 2;
+      LlmOptimizer opt(default_space(), std::make_shared<SimulatedGpt4>(gpt),
+                       opts);
+      util::Rng rng(seed);
+      for (int ep = 0; ep < 100; ++ep) {
+        search::Observation obs;
+        obs.design = opt.propose(rng);
+        obs.reward = scripted_reward(ep, seed);
+        opt.feedback(obs);
+      }
+      for (const auto& ex : opt.transcript()) {
+        h = fnv1a_update(h, ex.prompt);
+        h = fnv1a_update(h, std::string_view("\0", 1));
+        h = fnv1a_update(h, ex.response);
+        h = fnv1a_update(h, std::string_view("\0", 1));
+      }
+      exchanges += opt.transcript().size();
+    }
+  }
+  EXPECT_GE(exchanges, 900u);
+  EXPECT_EQ(h, 0xb71a36864bbcc3ebULL) << std::hex << h << std::dec << " over " << exchanges
+                       << " exchanges";
 }
 
 }  // namespace

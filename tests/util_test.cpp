@@ -266,6 +266,20 @@ TEST(Strings, ContainsIcase) {
   EXPECT_TRUE(contains_icase("anything", ""));
 }
 
+TEST(Strings, CaseFoldingIsAsciiOnly) {
+  // Only 'A'..'Z' fold; digits, punctuation and bytes >= 0x80 pass through.
+  EXPECT_EQ(to_lower("AZaz09[],=_-@`{}~"), "azaz09[],=_-@`{}~");
+  std::string high;
+  for (int c = 0x80; c <= 0xff; ++c) high.push_back(static_cast<char>(c));
+  EXPECT_EQ(to_lower(high), high);
+  EXPECT_EQ(to_lower("\xC3\x89T\xC3\xA9"), "\xC3\x89t\xC3\xA9");
+  EXPECT_TRUE(contains_icase("xxRRAMxx", "rram"));
+  EXPECT_TRUE(contains_icase("\xC9tude", "\xC9TUDE"));
+  EXPECT_FALSE(contains_icase("\xC9tude", "\xE9tude"));
+  EXPECT_FALSE(contains_icase("[x]", "{x}"));
+  EXPECT_FALSE(contains_icase("@", "`"));
+}
+
 TEST(Strings, ParseInt) {
   EXPECT_EQ(parse_int("42").value(), 42);
   EXPECT_EQ(parse_int(" -7 ").value(), -7);
