@@ -2,7 +2,10 @@
 // (miss over mapped segments), warm mmap lookup (hit via compacted index
 // buckets), insert, save (segment publication) and compaction throughput.
 // These are the numbers behind the store-v2 claim that warm saves cost
-// O(new entries) and warm lookups are zero-copy probes.
+// O(new entries) and warm lookups are zero-copy probes. The "own of 33"
+// rows time one study's lookups in a store that also holds 32 sibling
+// seed-runs' segments (other streams, overlapping designs): a full-key
+// lookup skips those, so its cost must not grow with the segment count.
 //
 // Usage: bench_store [records] [reps]
 //   records: store population size (default 20000)
@@ -85,12 +88,8 @@ int main(int argc, char** argv) {
         1e6;
   }
 
-  // Lookups against live segments (what a warm rerun probes before any
-  // compaction has happened).
-  double segment_lookup_ms = 0.0;
-  {
-    store::EvalStore store(opts);
-    segment_lookup_ms = min_over_reps([&] {
+  const auto time_hits = [&](const store::EvalStore& store) {
+    return min_over_reps([&] {
       for (std::uint64_t h = 1; h <= records; ++h) {
         if (!store.lookup(h)) {
           std::fprintf(stderr, "bench_store: unexpected miss\n");
@@ -98,6 +97,57 @@ int main(int argc, char** argv) {
         }
       }
     });
+  };
+  const auto time_misses = [&](const store::EvalStore& store) {
+    return min_over_reps([&] {
+      for (std::uint64_t h = 1; h <= records; ++h) {
+        if (store.lookup(records + h)) {
+          std::fprintf(stderr, "bench_store: unexpected hit\n");
+          std::exit(1);
+        }
+      }
+    });
+  };
+
+  // Lookups against live segments (what a warm rerun probes before any
+  // compaction has happened).
+  double segment_lookup_ms = 0.0;
+  double segment_miss_ms = 0.0;
+  {
+    store::EvalStore store(opts);
+    segment_lookup_ms = time_hits(store);
+    segment_miss_ms = time_misses(store);
+  }
+
+  // The same study's records as one segment among 32 sibling seed-runs'
+  // segments (in a directory of their own), each sibling holding every
+  // 32nd design under its own stream.
+  double own_of_33_hit_ms = 0.0;
+  double own_of_33_miss_ms = 0.0;
+  {
+    store::EvalStore::Options own_opts = opts;
+    own_opts.directory = dir + "_33";
+    fs::remove_all(own_opts.directory);
+    // Publishes designs first, first + step, ... as one segment.
+    const auto publish = [&](const store::EvalStore::Options& o,
+                             std::uint64_t first, std::uint64_t step) {
+      store::EvalStore writer(o);
+      for (std::uint64_t h = first; h <= records; h += step) writer.insert(h, ev);
+      if (!writer.save()) {
+        std::fprintf(stderr, "bench_store: save failed\n");
+        std::exit(1);
+      }
+    };
+    for (std::uint64_t s = 0; s < 32; ++s) {
+      store::EvalStore::Options sibling = own_opts;
+      sibling.stream_fingerprint = 0x100 + s;
+      publish(sibling, 1 + s, 32);
+    }
+    publish(own_opts, 1, 1);
+    store::EvalStore store(own_opts);
+    own_of_33_hit_ms = time_hits(store);
+    own_of_33_miss_ms = time_misses(store);
+    fs::remove_all(own_opts.directory);
   }
 
   // Compaction throughput, then lookups against the mmap'd index buckets.
@@ -116,39 +166,26 @@ int main(int argc, char** argv) {
   double miss_ms = 0.0;
   {
     store::EvalStore store(opts);
-    bucket_lookup_ms = min_over_reps([&] {
-      for (std::uint64_t h = 1; h <= records; ++h) {
-        if (!store.lookup(h)) {
-          std::fprintf(stderr, "bench_store: unexpected miss\n");
-          std::exit(1);
-        }
-      }
-    });
-    miss_ms = min_over_reps([&] {
-      for (std::uint64_t h = 1; h <= records; ++h) {
-        if (store.lookup(records + h)) {
-          std::fprintf(stderr, "bench_store: unexpected hit\n");
-          std::exit(1);
-        }
-      }
-    });
+    bucket_lookup_ms = time_hits(store);
+    miss_ms = time_misses(store);
   }
 
   const double per = static_cast<double>(records) / 1000.0;  // -> us/k
   std::printf("# Evaluation store micro-benchmarks (%llu records, min of %d)\n",
               static_cast<unsigned long long>(records), reps);
-  std::printf("%-28s %12s %14s\n", "operation", "total(ms)", "per-record(us)");
-  std::printf("%-28s %12.2f %14.3f\n", "insert", insert_ms,
-              insert_ms / per);
-  std::printf("%-28s %12.2f %14.3f\n", "save (publish segment)", save_ms,
-              save_ms / per);
-  std::printf("%-28s %12.2f %14.3f\n", "lookup (live segments)",
-              segment_lookup_ms, segment_lookup_ms / per);
-  std::printf("%-28s %12.2f %14.3f\n", "compact", compact_ms,
-              compact_ms / per);
-  std::printf("%-28s %12.2f %14.3f\n", "lookup (index buckets)",
-              bucket_lookup_ms, bucket_lookup_ms / per);
-  std::printf("%-28s %12.2f %14.3f\n", "lookup miss", miss_ms, miss_ms / per);
+  const auto row = [&](const char* operation, double ms) {
+    std::printf("%-38s %12.2f %14.3f\n", operation, ms, ms / per);
+  };
+  std::printf("%-38s %12s %14s\n", "operation", "total(ms)", "per-record(us)");
+  row("insert", insert_ms);
+  row("save (publish segment)", save_ms);
+  row("lookup (live segments)", segment_lookup_ms);
+  row("lookup miss (live segments)", segment_miss_ms);
+  row("lookup hit (own of 33 live segments)", own_of_33_hit_ms);
+  row("lookup miss (own of 33 live segments)", own_of_33_miss_ms);
+  row("compact", compact_ms);
+  row("lookup (index buckets)", bucket_lookup_ms);
+  row("lookup miss", miss_ms);
 
   if (const std::string json_path = core::json_output_path(argc, argv);
       !json_path.empty()) {
@@ -159,6 +196,9 @@ int main(int argc, char** argv) {
     doc["insert_ms"] = insert_ms;
     doc["save_ms"] = save_ms;
     doc["segment_lookup_ms"] = segment_lookup_ms;
+    doc["segment_miss_ms"] = segment_miss_ms;
+    doc["own_of_33_hit_ms"] = own_of_33_hit_ms;
+    doc["own_of_33_miss_ms"] = own_of_33_miss_ms;
     doc["compact_ms"] = compact_ms;
     doc["bucket_lookup_ms"] = bucket_lookup_ms;
     doc["miss_ms"] = miss_ms;

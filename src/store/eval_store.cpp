@@ -60,6 +60,8 @@ std::uint64_t pair_shard(std::uint64_t eval_fp, std::uint64_t design_hash,
 /// directory listing still happens per open, so the visible file set and
 /// every counter match a cold open exactly, but re-mapping and re-reading
 /// segment headers does not (buckets are few — one mmap each per open).
+/// A live segment's key-prefix scan (uniform_segment_key) rides with its
+/// cached view, so it runs once per file per process.
 ///
 /// A stat that fails, or a view that fails to open, evicts the path. The
 /// cache is capped; overflowing it just drops warm state (correctness
@@ -67,23 +69,30 @@ std::uint64_t pair_shard(std::uint64_t eval_fp, std::uint64_t design_hash,
 /// construct EvalStores concurrently, and SegmentView is read-only.
 class SegmentViewCache {
  public:
-  /// Mirrors SegmentView::open's contract: nullptr with empty `*error`
-  /// means "file vanished" (not damage), nullptr with a message means an
-  /// unusable file.
-  std::shared_ptr<const SegmentView> open(const std::string& path,
-                                          std::string* error,
-                                          bool cacheable) {
+  struct OpenedSegment {
+    std::shared_ptr<const SegmentView> view;
+    /// uniform_segment_key of a live segment; std::nullopt for a bucket
+    /// (never scanned) or a segment whose records mix keys.
+    std::optional<SegmentKey> key;
+  };
+
+  /// Mirrors SegmentView::open's contract: a null view with empty
+  /// `*error` means "file vanished" (not damage), a null view with a
+  /// message means an unusable file. Only cacheable files get a key scan.
+  OpenedSegment open(const std::string& path, std::string* error,
+                     bool cacheable) {
     if (!cacheable) {
       std::optional<SegmentView> view = SegmentView::open(path, error);
-      if (!view) return nullptr;
-      return std::make_shared<const SegmentView>(std::move(*view));
+      if (!view) return {};
+      return {std::make_shared<const SegmentView>(std::move(*view)),
+              std::nullopt};
     }
     struct ::stat st{};
     if (::stat(path.c_str(), &st) != 0) {
       std::lock_guard<std::mutex> lock(mutex_);
       cache_.erase(path);
       if (error != nullptr) error->clear();  // vanished, like a lost race
-      return nullptr;
+      return {};
     }
     const Identity id{st.st_ino, static_cast<std::uint64_t>(st.st_size),
                       static_cast<std::int64_t>(st.st_mtim.tv_sec),
@@ -93,22 +102,23 @@ class SegmentViewCache {
       const auto it = cache_.find(path);
       if (it != cache_.end() && it->second.identity == id) {
         if (error != nullptr) error->clear();
-        return it->second.view;
+        return it->second.segment;
       }
     }
     std::optional<SegmentView> view = SegmentView::open(path, error);
     if (!view) {
       std::lock_guard<std::mutex> lock(mutex_);
       cache_.erase(path);
-      return nullptr;
+      return {};
     }
     auto shared = std::make_shared<const SegmentView>(std::move(*view));
+    const OpenedSegment segment{shared, uniform_segment_key(*shared)};
     std::lock_guard<std::mutex> lock(mutex_);
     if (cache_.size() >= kMaxCached && cache_.count(path) == 0) {
       cache_.clear();  // crude, rare, and only costs warmth
     }
-    cache_[path] = CachedView{id, shared};
-    return shared;
+    cache_[path] = CachedView{id, segment};
+    return segment;
   }
 
  private:
@@ -124,7 +134,7 @@ class SegmentViewCache {
   };
   struct CachedView {
     Identity identity;
-    std::shared_ptr<const SegmentView> view;
+    OpenedSegment segment;
   };
 
   static constexpr std::size_t kMaxCached = 1024;
@@ -132,9 +142,9 @@ class SegmentViewCache {
   std::unordered_map<std::string, CachedView> cache_;
 };
 
-std::shared_ptr<const SegmentView> open_segment_cached(const std::string& path,
-                                                       std::string* error,
-                                                       bool cacheable) {
+SegmentViewCache::OpenedSegment open_segment_cached(const std::string& path,
+                                                    std::string* error,
+                                                    bool cacheable) {
   static SegmentViewCache cache;
   return cache.open(path, error, cacheable);
 }
@@ -164,18 +174,29 @@ void EvalStore::open_directory() {
   // included) so buckets and segments come from one post-publication
   // generation; a handful of attempts always suffices because each retry
   // needs a *fresh* compaction pass inside a microsecond window.
+  //
+  // Full-key lookups probe only own_files_: every bucket (pair_shard
+  // filters those per probe), plus each live segment that may hold this
+  // study's SegmentKey. EvalStore::save writes one key per segment, so a
+  // warm seed-run probes its own segment, not every sibling's.
   const std::uint64_t entry_next_seq = next_seq_;
+  const SegmentKey own_key{opts_.eval_fingerprint, opts_.stream_fingerprint};
   for (int attempt = 0; attempt < 4; ++attempt) {
     const bool last_attempt = attempt == 3;
     files_.clear();
+    own_files_.clear();
     next_seq_ = entry_next_seq;
+    // Segments are listed BEFORE the index: a compaction publishes its
+    // buckets before it unlinks the merged segments, so a record missing
+    // from this segment listing is already in a bucket the index listing
+    // sees. Listed the other way round, a pass that ran between the two
+    // listings would hide its records from both.
+    const std::vector<std::string> segment_paths =
+        list_segment_files(opts_.directory + "/segments");
     std::vector<std::string> paths =
         list_segment_files(opts_.directory + "/index");
     const std::size_t index_files = paths.size();
-    for (const std::string& path :
-         list_segment_files(opts_.directory + "/segments")) {
-      paths.push_back(path);
-    }
+    paths.insert(paths.end(), segment_paths.begin(), segment_paths.end());
     bool vanished = false;
     for (std::size_t p = 0; p < paths.size(); ++p) {
       // Buckets live at fixed rename-replaced paths, so their views must
@@ -183,9 +204,9 @@ void EvalStore::open_directory() {
       // served warm.
       const bool cacheable = p >= index_files;
       std::string error;
-      std::shared_ptr<const SegmentView> view =
+      SegmentViewCache::OpenedSegment opened =
           open_segment_cached(paths[p], &error, cacheable);
-      if (!view) {
+      if (!opened.view) {
         if (!error.empty()) {
           // Unusable file: skip it (counted, warned once per process) and
           // run cold on whatever it held instead of aborting — a
@@ -208,8 +229,11 @@ void EvalStore::open_directory() {
         file.is_bucket =
             parse_bucket_name(name, &file.bucket_index, &file.bucket_count);
       }
-      next_seq_ = std::max(next_seq_, view->max_seq() + 1);
-      file.view = std::move(view);
+      next_seq_ = std::max(next_seq_, opened.view->max_seq() + 1);
+      if (!opened.key || *opened.key == own_key) {
+        own_files_.push_back(files_.size());
+      }
+      file.view = std::move(opened.view);
       files_.push_back(std::move(file));
     }
     if (!vanished) return;
@@ -288,8 +312,8 @@ std::optional<core::Evaluation> EvalStore::lookup(
     ++metrics_.hits;
     return it->second.evaluation;
   }
-  for (const MappedFile& file : files_) {
-    if (auto hit = probe_file(file, design_hash, /*shared=*/false)) {
+  for (const std::size_t f : own_files_) {
+    if (auto hit = probe_file(files_[f], design_hash, /*shared=*/false)) {
       ++metrics_.hits;
       return hit;
     }

@@ -47,8 +47,19 @@ struct Budget {
 /// Shared lookups consult ONLY the compacted index buckets, never live
 /// segments: buckets change only under an explicit `--store-compact`, so a
 /// run's shared-hit counters can never depend on what a concurrent process
-/// published a moment earlier. Full-key lookups consult everything — any
-/// record they can find is one this exact study wrote.
+/// published a moment earlier. Full-key lookups consult every bucket and
+/// every live segment that may hold their (eval, stream) key — any record
+/// they can find is one this exact study wrote.
+///
+/// Opening costs O(files): one directory listing and one header read per
+/// file, plus one key-prefix scan per live segment per process (views and
+/// their scans are cached process-wide; segments are immutable). The scan
+/// lets a full-key lookup skip every segment whose records all carry
+/// another study's key — save() writes exactly one key per segment — so a
+/// warm lookup probes its own segment, not one per sibling seed-run. The
+/// skipped bytes are ones a probe would have read and never returned:
+/// hits, misses and every result are unchanged, only bytes_read and
+/// corrupt_records() stop counting foreign records.
 ///
 /// Saves append one new segment with this run's fresh entries (O(new), not
 /// O(store)) and publish it via temp file + atomic rename; they never
@@ -99,7 +110,7 @@ class EvalStore {
   explicit EvalStore(Options opts);
 
   /// Full-key lookup: this study's own namespace, all sources (this run's
-  /// inserts, index buckets, live segments).
+  /// inserts, index buckets, live segments that may hold its key).
   [[nodiscard]] std::optional<core::Evaluation> lookup(
       std::uint64_t design_hash) const;
 
@@ -167,6 +178,9 @@ class EvalStore {
 
   Options opts_;
   std::vector<MappedFile> files_;
+  /// Indices into files_ that a full-key lookup probes, in files_ order:
+  /// every bucket and every live segment that may hold this study's key.
+  std::vector<std::size_t> own_files_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t next_seq_ = 0;
   bool dirty_ = false;

@@ -79,7 +79,9 @@ void encode_record(const StoreRecord& record, std::uint8_t* out);
 /// Read view over one mmap'd segment file: zero-copy binary probes into the
 /// sorted record array. open() validates the header (magic, version, count
 /// vs file size, header checksum); per-record checksums are verified lazily
-/// by the probe's caller, so opening a store costs O(files), not O(records).
+/// by the probe's caller, so opening a view costs O(1), not O(records).
+/// (EvalStore adds one key-prefix scan per live segment per process — see
+/// uniform_segment_key.)
 class SegmentView {
  public:
   /// Maps and validates `path`. On failure returns std::nullopt and, if
@@ -112,6 +114,25 @@ class SegmentView {
   std::size_t count_ = 0;
   std::uint64_t max_seq_ = 0;
 };
+
+/// The (eval_fingerprint, stream_fingerprint) part of a record key: one
+/// study's namespace. EvalStore::save writes exactly one per segment.
+struct SegmentKey {
+  std::uint64_t eval_fingerprint = 0;
+  std::uint64_t stream_fingerprint = 0;
+  bool operator==(const SegmentKey& other) const {
+    return eval_fingerprint == other.eval_fingerprint &&
+           stream_fingerprint == other.stream_fingerprint;
+  }
+};
+
+/// The one SegmentKey every record of `view` carries, or std::nullopt when
+/// the records mix keys or there are none. Reads only each record's 24-byte
+/// key prefix and verifies no checksum: a full-key probe compares those same
+/// unverified bytes, so a segment whose prefixes all name another key can
+/// never yield that probe a hit, damaged records included.
+[[nodiscard]] std::optional<SegmentKey> uniform_segment_key(
+    const SegmentView& view);
 
 /// Serializes `records` (must already be sorted by StoreRecord::key_less)
 /// into a segment byte buffer, header and checksums included.

@@ -209,6 +209,20 @@ bool SegmentView::matches_pair(std::size_t i, std::uint64_t eval_fp,
   return get_u64(rec, 0) == eval_fp && get_u64(rec, 8) == design_hash;
 }
 
+std::optional<SegmentKey> uniform_segment_key(const SegmentView& view) {
+  if (view.count() == 0) return std::nullopt;
+  const SegmentKey first{get_u64(view.record(0), 0),
+                         get_u64(view.record(0), 16)};
+  for (std::size_t i = 1; i < view.count(); ++i) {
+    const std::uint8_t* rec = view.record(i);
+    if (get_u64(rec, 0) != first.eval_fingerprint ||
+        get_u64(rec, 16) != first.stream_fingerprint) {
+      return std::nullopt;
+    }
+  }
+  return first;
+}
+
 std::vector<std::uint8_t> serialize_segment(
     const std::vector<StoreRecord>& records) {
   std::vector<std::uint8_t> bytes(kHeaderSize + records.size() * kRecordSize);

@@ -24,6 +24,14 @@ namespace lcda::util {
 /// stop() — SIGTERM first, so a worker can die mid-sleep cleanly,
 /// escalating to SIGKILL after a grace window for one that ignores it.
 ///
+/// Each child leads a process group of its own, and stop() signals the
+/// whole group, so a child's own children (a shell's background jobs, say)
+/// cannot outlive it and hold its pipes open. A child also gets SIGTERM
+/// when the thread that spawned it exits, so it cannot outlive its parent
+/// either (out of the parent's group, a terminal's Ctrl-C no longer
+/// reaches it). A child that reads an inherited terminal stdin is stopped
+/// by SIGTTIN, as any background job is; pipe its stdin instead.
+///
 /// Deadlock-freedom contract: every parent-side descriptor is
 /// non-blocking. write_stdin() buffers bytes the pipe will not take yet in
 /// parent memory and retries on later calls, and read_stdout()/
@@ -82,8 +90,9 @@ class Subprocess {
   /// idempotent, so a poll loop can check a child it already saw finish.
   [[nodiscard]] std::optional<Result> try_wait();
 
-  /// Graceful stop: SIGTERM, then up to `grace_ms` for the child to exit
-  /// on its own, then SIGKILL, then reap. Returns how it actually ended
+  /// Graceful stop of the child's whole process group: SIGTERM, then up to
+  /// `grace_ms` for the child to exit on its own, then SIGKILL to whatever
+  /// of the group is left, then reap. Returns how the child actually ended
   /// (exit code if it honoured the TERM, signal otherwise).
   [[nodiscard]] Result stop(int grace_ms = kDefaultStopGraceMs);
 
@@ -144,6 +153,8 @@ class Subprocess {
   /// Writes as much of stdin_pending_ as the pipe takes; false on EPIPE.
   bool flush_stdin();
   void close_parent_fds();
+  /// True once the child has exited, without reaping it (waitid WNOWAIT).
+  [[nodiscard]] bool exited_unreaped() const;
   Result reap();
 
   pid_t pid_ = -1;

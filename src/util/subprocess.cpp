@@ -5,6 +5,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -82,12 +83,19 @@ Subprocess::Subprocess(std::vector<std::string> argv, const Options& options) {
   if (options.pipe_stdout && ::pipe(out_fds) != 0) fail("pipe");
   if (options.pipe_stdin && ::pipe(in_fds) != 0) fail("pipe");
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) fail("fork");
 
   if (pid == 0) {
-    // Child: wire up its ends and close the parent's. Only
-    // async-signal-safe calls between fork and exec.
+    // Child: lead a process group of its own, so stop() reaches every
+    // descendant, and die with the spawning thread — out of the parent's
+    // group, a terminal's Ctrl-C no longer reaches it. Then wire up its
+    // ends and close the parent's. Only async-signal-safe calls between
+    // fork and exec.
+    (void)::setpgid(0, 0);
+    (void)::prctl(PR_SET_PDEATHSIG, SIGTERM);
+    if (::getppid() != parent) ::_exit(127);  // the parent died first
     ::close(err_fds[0]);
     ::dup2(err_fds[1], STDERR_FILENO);
     if (err_fds[1] != STDERR_FILENO) ::close(err_fds[1]);
@@ -117,7 +125,10 @@ Subprocess::Subprocess(std::vector<std::string> argv, const Options& options) {
     ::_exit(127);
   }
 
-  // Parent. Every retained end is non-blocking: reads drain what is
+  // Parent. Set the group here too: a stop() racing the child's own
+  // setpgid must not signal a group that does not exist yet.
+  (void)::setpgid(pid, pid);
+  // Every retained end is non-blocking: reads drain what is
   // available without stalling the coordinator's poll loop (wait() blocks
   // in poll() instead of in read()) and stdin writes spill to
   // stdin_pending_ instead of blocking on a full pipe.
@@ -313,18 +324,35 @@ std::optional<Subprocess::Result> Subprocess::try_wait() {
   return result;
 }
 
+bool Subprocess::exited_unreaped() const {
+  siginfo_t info{};
+  for (;;) {
+    if (::waitid(P_PID, static_cast<id_t>(pid_), &info,
+                 WEXITED | WNOHANG | WNOWAIT) == 0) {
+      return info.si_pid != 0;
+    }
+    if (errno != EINTR) return true;  // nothing left to wait for
+  }
+}
+
 Subprocess::Result Subprocess::stop(int grace_ms) {
   if (waited_) return *result_;  // already reaped: nothing left to stop
-  ::kill(pid_, SIGTERM);
+  ::killpg(pid_, SIGTERM);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(grace_ms < 0 ? 0 : grace_ms);
   for (;;) {
-    if (auto result = try_wait()) return *result;
+    (void)flush_stdin();
+    (void)drain_available();
+    (void)drain_stdout_available();
+    if (exited_unreaped()) break;
     if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  // The grace window expired: the child ignored (or blocked) SIGTERM.
-  ::kill(pid_, SIGKILL);
+  // KILL whatever is left: the child itself once the grace window expired
+  // (it ignored or blocked SIGTERM), and any descendant that outlived it.
+  // The child is not reaped yet, so its pid — the group id — cannot have
+  // been recycled for another process.
+  ::killpg(pid_, SIGKILL);
   (void)drain_available();
   (void)drain_stdout_available();
   return reap();

@@ -3,6 +3,7 @@
 // cross-study shared namespace (lookup_shared + Monte-Carlo replay).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -96,6 +97,51 @@ std::uintmax_t total_store_bytes(const std::string& dir) {
 
 std::vector<std::string> segment_files(const std::string& dir) {
   return store::list_segment_files(dir + "/segments");
+}
+
+/// Segment bytes holding make_eval(h + marker_offset) for every hash in
+/// `hashes` under each of `streams`, sorted as EvalStore::save sorts.
+std::vector<std::uint8_t> segment_bytes(std::uint64_t eval_fp,
+                                        const std::vector<std::uint64_t>& streams,
+                                        std::uint64_t hashes,
+                                        std::uint64_t marker_offset = 0) {
+  std::vector<store::StoreRecord> records;
+  for (const std::uint64_t stream : streams) {
+    for (std::uint64_t h = 1; h <= hashes; ++h) {
+      store::StoreRecord record;
+      record.eval_fingerprint = eval_fp;
+      record.design_hash = h;
+      record.stream_fingerprint = stream;
+      record.seq = h;
+      record.evaluation = make_eval(h + marker_offset);
+      records.push_back(record);
+    }
+  }
+  std::sort(records.begin(), records.end(),
+            [](const store::StoreRecord& a, const store::StoreRecord& b) {
+              return a.key_less(b);
+            });
+  return store::serialize_segment(records);
+}
+
+/// Publishes `bytes` as a live segment named to sort before every segment
+/// EvalStore::save writes ("seg-0-" precedes "seg-<pid>-"), so an
+/// unfiltered full-key probe visits it first.
+void publish_early_segment(const std::string& dir, const std::string& tag,
+                           const std::vector<std::uint8_t>& bytes) {
+  fs::create_directories(dir + "/segments");
+  store::publish_file(dir + "/segments/seg-0-" + tag + ".seg", bytes);
+}
+
+/// Flips one byte at `offset` of `path` in place.
+void flip_byte(const std::string& path, std::size_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte ^= 0x01;
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
 }
 
 /// Episode trace only — cache counters legitimately differ between runs.
@@ -288,18 +334,8 @@ TEST(EvalStore, TornRecordInsideHealthySegmentIsSkippedAndCounted) {
     EXPECT_TRUE(fresh.save());
   }
   // Flip one payload byte of the middle record (hashes 1..3 sort in order).
-  const std::string segment = segment_files(dir).at(0);
-  {
-    std::fstream f(segment, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(store::kHeaderSize +
-                                        store::kRecordSize + 100));
-    char byte = 0;
-    f.read(&byte, 1);
-    byte ^= 0x01;
-    f.seekp(static_cast<std::streamoff>(store::kHeaderSize +
-                                        store::kRecordSize + 100));
-    f.write(&byte, 1);
-  }
+  flip_byte(segment_files(dir).at(0),
+            store::kHeaderSize + store::kRecordSize + 100);
 
   store::EvalStore store(opts(dir));
   EXPECT_EQ(store.skipped_files(), 0u);  // the file itself is healthy
@@ -493,6 +529,152 @@ TEST(EvalStore, SharedLookupsConsultOnlyCompactedBuckets) {
   // A different evaluation identity shares nothing.
   store::EvalStore other_eval(opts(dir, 0x9999, 0x2));
   EXPECT_FALSE(other_eval.lookup_shared(5).has_value());
+}
+
+// ------------------------------------- full-key probes skip foreign keys
+
+TEST(Segment, UniformKeyNamesTheOneKeyOrNone) {
+  const auto view_of = [](const std::string& path,
+                          const std::vector<std::uint8_t>& bytes) {
+    store::publish_file(path, bytes);
+    return store::SegmentView::open(path, nullptr).value();
+  };
+  const std::string dir = temp_dir("uniform_key");
+  const auto uniform = store::uniform_segment_key(
+      view_of(dir + "/one.seg", segment_bytes(0x11, {0x22}, 4)));
+  ASSERT_TRUE(uniform.has_value());
+  EXPECT_EQ(uniform->eval_fingerprint, 0x11u);
+  EXPECT_EQ(uniform->stream_fingerprint, 0x22u);
+  EXPECT_FALSE(store::uniform_segment_key(
+                   view_of(dir + "/mixed.seg", segment_bytes(0x11, {0x22, 0x33}, 4)))
+                   .has_value());
+  EXPECT_FALSE(store::uniform_segment_key(
+                   view_of(dir + "/empty.seg", store::serialize_segment({})))
+                   .has_value());
+}
+
+TEST(EvalStore, FullKeyLookupProbesOnlyItsOwnOf33Segments) {
+  // One study's segment among 32 sibling seed-runs' segments (same
+  // evaluation identity and designs, other streams), which sort first:
+  // every hit must come from the one own segment, decoding one record.
+  const std::string dir = temp_dir("own_of_33");
+  constexpr std::uint64_t kDesigns = 8;
+  for (std::uint64_t s = 0; s < 32; ++s) {
+    publish_early_segment(dir, std::to_string(10 + s),
+                          segment_bytes(0x11, {0x100 + s}, kDesigns, 1000));
+  }
+  {
+    store::EvalStore own(opts(dir));
+    for (std::uint64_t h = 1; h <= kDesigns; ++h) own.insert(h, make_eval(h));
+    ASSERT_TRUE(own.save());
+  }
+  ASSERT_EQ(segment_files(dir).size(), 33u);
+  store::EvalStore store(opts(dir));
+  for (std::uint64_t h = 1; h <= kDesigns; ++h) {
+    const auto hit = store.lookup(h);
+    ASSERT_TRUE(hit.has_value()) << "hash " << h;
+    expect_same_eval(*hit, make_eval(h));
+  }
+  EXPECT_FALSE(store.lookup(kDesigns + 1).has_value());
+  EXPECT_EQ(store.metrics().hits, kDesigns);
+  EXPECT_EQ(store.metrics().misses, 1u);
+  EXPECT_EQ(store.metrics().bytes_read, kDesigns * store::kRecordSize);
+  // A sibling still finds its own records (and only those).
+  store::EvalStore sibling(opts(dir, 0x11, 0x105));
+  const auto theirs = sibling.lookup(3);
+  ASSERT_TRUE(theirs.has_value());
+  expect_same_eval(*theirs, make_eval(1003));
+  EXPECT_EQ(sibling.metrics().bytes_read, store::kRecordSize);
+}
+
+TEST(EvalStore, MixedKeySegmentIsStillProbed) {
+  // EvalStore::save never writes one, but a segment whose records mix
+  // streams is a valid segment: it must be probed, and serve our stream.
+  const std::string dir = temp_dir("mixed_segment");
+  publish_early_segment(dir, "foreign", segment_bytes(0x11, {0x33}, 4, 500));
+  std::vector<store::StoreRecord> records;
+  for (std::uint64_t h = 1; h <= 4; ++h) {
+    for (const std::uint64_t stream : {0x22u, 0x44u}) {
+      if (stream == 0x22u && h == 4) continue;  // hash 4: foreign only
+      store::StoreRecord record;
+      record.eval_fingerprint = 0x11;
+      record.design_hash = h;
+      record.stream_fingerprint = stream;
+      record.evaluation = make_eval(stream == 0x22u ? h : h + 700);
+      records.push_back(record);
+    }
+  }
+  publish_early_segment(dir, "mixed", store::serialize_segment(records));
+  store::EvalStore store(opts(dir));
+  for (std::uint64_t h = 1; h <= 3; ++h) {
+    const auto hit = store.lookup(h);
+    ASSERT_TRUE(hit.has_value()) << "hash " << h;
+    expect_same_eval(*hit, make_eval(h));
+  }
+  EXPECT_FALSE(store.lookup(4).has_value());
+}
+
+TEST(EvalStore, TornRecordInOwnSegmentIsCountedAmongForeignOnes) {
+  // Damage inside the study's own segment is still found and counted —
+  // including a flipped stream fingerprint, which makes the segment's
+  // key prefixes mixed (the scan verifies no checksum), not foreign.
+  const std::string dir = temp_dir("torn_own");
+  publish_early_segment(dir, "foreign", segment_bytes(0x11, {0x33}, 3, 500));
+  {
+    store::EvalStore own(opts(dir));
+    for (std::uint64_t h = 1; h <= 3; ++h) own.insert(h, make_eval(h));
+    ASSERT_TRUE(own.save());
+  }
+  const std::string own_segment = segment_files(dir).at(1);
+  // Record 1 (hash 2): payload byte; record 2 (hash 3): stream key byte.
+  flip_byte(own_segment, store::kHeaderSize + store::kRecordSize + 100);
+  flip_byte(own_segment, store::kHeaderSize + 2 * store::kRecordSize + 16);
+
+  store::EvalStore store(opts(dir));
+  EXPECT_TRUE(store.lookup(1).has_value());
+  EXPECT_FALSE(store.lookup(2).has_value());
+  EXPECT_FALSE(store.lookup(3).has_value());
+  EXPECT_EQ(store.corrupt_records(), 2u);
+}
+
+TEST(EvalStore, BucketLookupsAreUnchangedAfterCompaction) {
+  // Buckets hold every stream and are never key-scanned: after a
+  // compaction merges 33 uniform segments, every stream's full-key and
+  // shared lookups see exactly what they saw before.
+  const std::string dir = temp_dir("buckets_after_skip");
+  constexpr std::uint64_t kDesigns = 6;
+  for (std::uint64_t s = 0; s < 32; ++s) {
+    publish_early_segment(dir, std::to_string(10 + s),
+                          segment_bytes(0x11, {0x100 + s}, kDesigns, 1000 * s));
+  }
+  {
+    store::EvalStore own(opts(dir));
+    for (std::uint64_t h = 1; h <= kDesigns; ++h) own.insert(h, make_eval(h));
+    ASSERT_TRUE(own.save());
+  }
+  const auto snapshot = [&](std::uint64_t stream) {
+    store::EvalStore store(opts(dir, 0x11, stream));
+    std::string out;
+    for (std::uint64_t h = 1; h <= kDesigns + 1; ++h) {
+      const auto hit = store.lookup(h);
+      out += hit ? store::evaluation_to_json(*hit).dump() : "miss";
+      out += '\n';
+    }
+    return out;
+  };
+  std::vector<std::string> before;
+  for (const std::uint64_t stream : {0x22u, 0x100u, 0x11fu, 0x999u}) {
+    before.push_back(snapshot(stream));
+  }
+  const store::CompactionReport report = store::compact_store(dir, {}, 4);
+  EXPECT_EQ(report.records_kept, 33 * kDesigns);
+  EXPECT_TRUE(segment_files(dir).empty());
+  std::size_t i = 0;
+  for (const std::uint64_t stream : {0x22u, 0x100u, 0x11fu, 0x999u}) {
+    EXPECT_EQ(snapshot(stream), before[i++]) << "stream " << stream;
+  }
+  store::EvalStore stranger(opts(dir, 0x11, 0x999));
+  EXPECT_TRUE(stranger.lookup_shared(1).has_value());
 }
 
 // ----------------------------------------------------- store metrics

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -510,6 +511,54 @@ TEST(Subprocess, StopEscalatesToKillAfterGrace) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   const Subprocess::Result result = child.stop(/*grace_ms=*/300);
   EXPECT_EQ(result.term_signal, SIGKILL);
+}
+
+/// The first line `child` writes to its piped stdout, parsed as a pid
+/// (0 when none arrives within a few seconds).
+pid_t read_pid_line(Subprocess& child) {
+  std::string out;
+  for (int i = 0; i < 500 && out.find('\n') == std::string::npos; ++i) {
+    out += child.read_stdout();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return static_cast<pid_t>(std::atol(out.c_str()));
+}
+
+/// Polls until `pid` is gone or a zombie awaiting its reaper (a signal
+/// lands asynchronously); false if it is still running after ~2 s.
+bool process_ends(pid_t pid) {
+  for (int i = 0; i < 200; ++i) {
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line)) return true;
+    const std::size_t state = line.rfind(')') + 2;
+    if (state < line.size() && line[state] == 'Z') return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+TEST(Subprocess, NoDescendantOutlivesStop) {
+  // A shell's background job must die with the shell: when it honours
+  // SIGTERM, when it ignores it (KILL escalation) and when the destructor
+  // does the stopping. Signalling only the shell would orphan `sleep 30`.
+  Subprocess::Options popts;
+  popts.pipe_stdout = true;
+  for (const char* script : {"sleep 30 & echo $!; wait",
+                             "trap '' TERM; sleep 30 & echo $!; wait; exit 0"}) {
+    Subprocess child({"/bin/sh", "-c", script}, popts);
+    const pid_t grandchild = read_pid_line(child);
+    ASSERT_GT(grandchild, 0) << script;
+    (void)child.stop(/*grace_ms=*/300);
+    EXPECT_TRUE(process_ends(grandchild)) << script;
+  }
+  pid_t grandchild = 0;
+  {
+    Subprocess child({"/bin/sh", "-c", "sleep 30 & echo $!; wait"}, popts);
+    grandchild = read_pid_line(child);
+  }
+  ASSERT_GT(grandchild, 0);
+  EXPECT_TRUE(process_ends(grandchild));
 }
 
 TEST(Subprocess, DestructorReapsRunningChild) {
