@@ -18,7 +18,7 @@ namespace lcda::ckpt {
 
 namespace {
 
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 constexpr std::uint32_t kRoundVersion = 1;
 
 void encode_rng(util::BinaryWriter& w, const util::Rng::State& st) {
@@ -68,22 +68,21 @@ std::size_t bounded_reserve(std::uint64_t n, std::size_t remaining,
   return std::min<std::size_t>(n, remaining / std::max<std::size_t>(min_bytes, 1));
 }
 
-struct SnapshotFile {
+struct JournalFile {
   long long episode = 0;
   std::filesystem::path path;
 };
 
-/// `snap-<E>.ckpt` -> E, or nullopt for any other name.
-std::optional<long long> snapshot_episode(const std::string& name) {
-  constexpr std::string_view prefix = "snap-";
-  constexpr std::string_view suffix = ".ckpt";
+/// `jrn-<E>.jrn` -> E, or nullopt for any other name.
+std::optional<long long> journal_episode(const std::string& name) {
+  constexpr std::string_view prefix = "jrn-";
+  constexpr std::string_view suffix = ".jrn";
   if (name.size() <= prefix.size() + suffix.size() ||
       !name.starts_with(prefix) || !name.ends_with(suffix)) {
     return std::nullopt;
   }
   const std::string digits =
       name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  if (digits.empty()) return std::nullopt;
   long long value = 0;
   for (char c : digits) {
     if (c < '0' || c > '9') return std::nullopt;
@@ -92,15 +91,15 @@ std::optional<long long> snapshot_episode(const std::string& name) {
   return value;
 }
 
-/// Newest-first list of snapshot generations in a study directory.
-std::vector<SnapshotFile> list_snapshots(const std::filesystem::path& dir) {
-  std::vector<SnapshotFile> out;
+/// Newest-first list of the journals in a study directory.
+std::vector<JournalFile> list_journals(const std::filesystem::path& dir) {
+  std::vector<JournalFile> out;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const auto ep = snapshot_episode(entry.path().filename().string());
+    const auto ep = journal_episode(entry.path().filename().string());
     if (ep) out.push_back({*ep, entry.path()});
   }
-  std::sort(out.begin(), out.end(), [](const SnapshotFile& a, const SnapshotFile& b) {
+  std::sort(out.begin(), out.end(), [](const JournalFile& a, const JournalFile& b) {
     return a.episode > b.episode;
   });
   return out;
@@ -113,75 +112,6 @@ std::optional<std::string> read_file(const std::filesystem::path& path) {
                    std::istreambuf_iterator<char>());
   if (in.bad()) return std::nullopt;
   return data;
-}
-
-/// Validates a snapshot file's envelope; returns the payload view or
-/// nullopt (magic, identity, size and checksum must all agree).
-std::optional<std::string_view> snapshot_payload(std::string_view file,
-                                                 std::uint64_t identity) {
-  std::uint64_t file_identity = 0;
-  std::uint64_t size = 0;
-  std::uint64_t checksum = 0;
-  if (file.size() < kSnapshotMagic.size() ||
-      file.substr(0, kSnapshotMagic.size()) != kSnapshotMagic) {
-    return std::nullopt;
-  }
-  util::BinaryReader header(file.substr(kSnapshotMagic.size()));
-  if (!header.u64(file_identity) || !header.u64(size) || !header.u64(checksum)) {
-    return std::nullopt;
-  }
-  if (file_identity != identity) return std::nullopt;
-  if (header.remaining() != size) return std::nullopt;
-  const std::string_view payload =
-      file.substr(file.size() - header.remaining());
-  if (util::fnv1a64(payload) != checksum) return std::nullopt;
-  return payload;
-}
-
-/// Parses a changelog, tolerating a torn tail: records after the first
-/// short or corrupt one are dropped (the loop re-evaluates them live).
-std::vector<core::RoundDelta> read_changelog(const std::filesystem::path& path,
-                                             std::uint64_t identity,
-                                             long long base_episode) {
-  std::vector<core::RoundDelta> deltas;
-  const auto data = read_file(path);
-  if (!data) return deltas;
-  std::string_view view = *data;
-  if (view.size() < kChangelogMagic.size() ||
-      view.substr(0, kChangelogMagic.size()) != kChangelogMagic) {
-    util::warn_once("ckpt-bad-log:" + path.string(), "ckpt",
-                    "changelog has a foreign header; ignoring it");
-    return deltas;
-  }
-  util::BinaryReader header(view.substr(kChangelogMagic.size()));
-  std::uint64_t file_identity = 0;
-  std::int64_t file_base = 0;
-  if (!header.u64(file_identity) || !header.i64(file_base) ||
-      file_identity != identity || file_base != base_episode) {
-    util::warn_once("ckpt-bad-log:" + path.string(), "ckpt",
-                    "changelog identity/base mismatch; ignoring it");
-    return deltas;
-  }
-  std::string_view rest = view.substr(view.size() - header.remaining());
-  while (!rest.empty()) {
-    util::BinaryReader rec(rest);
-    std::uint64_t len = 0;
-    std::uint64_t checksum = 0;
-    if (!rec.u64(len) || !rec.u64(checksum) || rec.remaining() < len) break;
-    const std::string_view payload =
-        rest.substr(rest.size() - rec.remaining(), len);
-    if (util::fnv1a64(payload) != checksum) break;
-    core::RoundDelta delta;
-    if (!decode_round(payload, delta)) break;
-    deltas.push_back(std::move(delta));
-    rest = rest.substr(16 + len);
-  }
-  if (!rest.empty()) {
-    util::warn_once("ckpt-torn-log:" + path.string(), "ckpt",
-                    "changelog tail is torn; rounds after it will be "
-                    "re-evaluated on resume");
-  }
-  return deltas;
 }
 
 }  // namespace
@@ -300,13 +230,28 @@ bool decode_evaluation(util::BinaryReader& r, core::Evaluation& ev) {
 
 namespace {
 
-/// Appends the snapshot payload to `out` (which may already hold an
-/// envelope prefix). Split from encode_snapshot so the checkpoint writer
-/// can assemble envelope + payload in one reused buffer, without an
-/// intermediate per-snapshot string.
-void encode_snapshot_append(std::string& out, const core::LoopSnapshot& snap) {
+/// Appends the snapshot payload to `out` (which may already hold a record
+/// frame): the records from `episodes_from` and the cache-log entries from
+/// `cache_from` on, then the head. The writer encodes straight into its
+/// reused record buffer, without an intermediate per-snapshot string.
+void encode_snapshot_append(std::string& out, const core::LoopSnapshot& snap,
+                            std::size_t episodes_from, std::size_t cache_from) {
   util::BinaryWriter w(out);
   w.u32(kSnapshotVersion);
+  const std::vector<core::EpisodeRecord>& episodes = snap.result->episodes;
+  w.u64(episodes_from);
+  w.u64(episodes.size() - episodes_from);
+  for (std::size_t i = episodes_from; i < episodes.size(); ++i) {
+    encode_episode(w, episodes[i]);
+  }
+  const auto& cache_log = *snap.cache_log;
+  w.u64(cache_from);
+  w.u64(cache_log.size() - cache_from);
+  for (std::size_t i = cache_from; i < cache_log.size(); ++i) {
+    w.u64(cache_log[i].hash);
+    encode_evaluation(w, cache_log[i].eval);
+    w.u8(cache_log[i].published ? 1 : 0);
+  }
   w.i64(snap.next_episode);
   encode_rng(w, snap.rng_state);
   w.str(*snap.optimizer_state);
@@ -319,57 +264,36 @@ void encode_snapshot_append(std::string& out, const core::LoopSnapshot& snap) {
   w.i64(res.persistent_evictions);
   w.i64(res.persistent_skipped);
   w.i64(res.persistent_save_failures);
-  w.u64(res.episodes.size());
-  for (const core::EpisodeRecord& ep : res.episodes) encode_episode(w, ep);
-  const auto& cache_log = *snap.cache_log;
-  w.u64(cache_log.size());
-  for (const core::CacheLogEntry& entry : cache_log) {
-    w.u64(entry.hash);
-    encode_evaluation(w, entry.eval);
-    w.u8(entry.published ? 1 : 0);
-  }
 }
 
-}  // namespace
-
-std::string encode_snapshot(const core::LoopSnapshot& snap) {
-  std::string out;
-  encode_snapshot_append(out, snap);
-  return out;
-}
-
-bool decode_snapshot(std::string_view payload, core::LoopResume& out) {
+/// decode_snapshot without the rollback: may leave records appended to
+/// `out` on failure, but commits the head only once everything checked.
+bool apply_snapshot(std::string_view payload, core::LoopResume& out) {
   util::BinaryReader r(payload);
+  std::vector<core::EpisodeRecord>& episodes = out.result.episodes;
   std::uint32_t version = 0;
-  std::int64_t next_episode = 0;
-  if (!r.u32(version) || version != kSnapshotVersion || !r.i64(next_episode) ||
-      !decode_rng(r, out.rng_state) || !r.str(out.optimizer_state)) {
+  std::uint64_t base = 0;
+  std::uint64_t n = 0;
+  if (!r.u32(version) || version != kSnapshotVersion || !r.u64(base) ||
+      base != episodes.size() || !r.u64(n)) {
     return false;
   }
-  out.next_episode = static_cast<int>(next_episode);
-  core::RunResult& res = out.result;
-  std::int64_t best_episode = 0;
-  std::uint64_t n_records = 0;
-  if (!r.i64(best_episode) || !r.i64(res.cache_hits) ||
-      !r.i64(res.cache_misses) || !r.i64(res.persistent_hits) ||
-      !r.i64(res.persistent_shared_hits) || !r.i64(res.persistent_evictions) ||
-      !r.i64(res.persistent_skipped) || !r.i64(res.persistent_save_failures) ||
-      !r.u64(n_records)) {
-    return false;
-  }
-  res.best_episode = static_cast<int>(best_episode);
-  res.episodes.clear();
-  res.episodes.reserve(bounded_reserve(n_records, r.remaining(), 64));
-  for (std::uint64_t i = 0; i < n_records; ++i) {
+  // Only a whole snapshot reserves: a per-delta exact reserve would
+  // reallocate on every delta and make replay quadratic.
+  if (episodes.empty()) episodes.reserve(bounded_reserve(n, r.remaining(), 64));
+  for (std::uint64_t i = 0; i < n; ++i) {
     core::EpisodeRecord ep;
-    if (!decode_episode(r, ep)) return false;
-    res.episodes.push_back(std::move(ep));
+    if (!decode_episode(r, ep) ||
+        ep.episode != static_cast<int>(episodes.size())) {
+      return false;
+    }
+    episodes.push_back(std::move(ep));
   }
-  std::uint64_t n_cache = 0;
-  if (!r.u64(n_cache)) return false;
-  out.cache_log.clear();
-  out.cache_log.reserve(bounded_reserve(n_cache, r.remaining(), 64));
-  for (std::uint64_t i = 0; i < n_cache; ++i) {
+  if (!r.u64(base) || base != out.cache_log.size() || !r.u64(n)) return false;
+  if (out.cache_log.empty()) {
+    out.cache_log.reserve(bounded_reserve(n, r.remaining(), 64));
+  }
+  for (std::uint64_t i = 0; i < n; ++i) {
     core::CacheLogEntry entry;
     std::uint8_t published = 0;
     if (!r.u64(entry.hash) || !decode_evaluation(r, entry.eval) ||
@@ -379,12 +303,39 @@ bool decode_snapshot(std::string_view payload, core::LoopResume& out) {
     entry.published = published != 0;
     out.cache_log.push_back(std::move(entry));
   }
-  return r.done();
+
+  std::int64_t next_episode = 0;
+  util::Rng::State rng_state;
+  std::string optimizer_state;
+  std::int64_t best_episode = 0;
+  std::int64_t counters[7] = {};
+  if (!r.i64(next_episode) || !decode_rng(r, rng_state) ||
+      !r.str(optimizer_state) || !r.i64(best_episode)) {
+    return false;
+  }
+  for (std::int64_t& c : counters) {
+    if (!r.i64(c)) return false;
+  }
+  if (!r.done() || next_episode != static_cast<std::int64_t>(episodes.size()) ||
+      best_episode < -1 || best_episode >= next_episode) {
+    return false;
+  }
+  out.next_episode = static_cast<int>(next_episode);
+  out.rng_state = rng_state;
+  out.optimizer_state = std::move(optimizer_state);
+  core::RunResult& res = out.result;
+  res.best_episode = static_cast<int>(best_episode);
+  res.cache_hits = counters[0];
+  res.cache_misses = counters[1];
+  res.persistent_hits = counters[2];
+  res.persistent_shared_hits = counters[3];
+  res.persistent_evictions = counters[4];
+  res.persistent_skipped = counters[5];
+  res.persistent_save_failures = counters[6];
+  return true;
 }
 
-namespace {
-
-/// Appends the round payload to `out`; same envelope-assembly split as
+/// Appends the round payload to `out`; same in-place assembly as
 /// encode_snapshot_append.
 void encode_round_append(std::string& out, const core::RoundDelta& delta) {
   util::BinaryWriter w(out);
@@ -403,7 +354,121 @@ void patch_u64(std::string& buf, std::size_t pos, std::uint64_t v) {
   std::memcpy(buf.data() + pos, &v, sizeof(v));
 }
 
+/// Opens a record frame at the end of `buf` (length and checksum
+/// placeholders, then the type byte) and returns its offset.
+std::size_t begin_record(std::string& buf, RecordType type) {
+  const std::size_t at = buf.size();
+  util::BinaryWriter w(buf);
+  w.u64(0);
+  w.u64(0);
+  w.u8(static_cast<std::uint8_t>(type));
+  return at;
+}
+
+/// Back-patches the length and checksum (over type byte + payload) of the
+/// record begun at `at`, which runs to the end of `buf`; returns the
+/// payload size.
+std::size_t seal_record(std::string& buf, std::size_t at) {
+  const std::size_t payload_size = buf.size() - at - kRecordHeaderSize;
+  patch_u64(buf, at, payload_size);
+  patch_u64(buf, at + 8, util::fnv1a64(std::string_view(buf).substr(at + 16)));
+  return payload_size;
+}
+
+/// Replays one journal: every snapshot record applied in order, the round
+/// records after the last valid one collected as deltas. Stops at the
+/// first short or corrupt record (counted warning); nullopt when the
+/// journal holds no valid snapshot.
+std::optional<core::LoopResume> read_journal(const std::filesystem::path& path,
+                                             std::uint64_t identity) {
+  const auto data = read_file(path);
+  if (!data) return std::nullopt;
+  const std::string_view view = *data;
+  std::uint64_t file_identity = 0;
+  if (!view.starts_with(kJournalMagic) ||
+      !util::BinaryReader(view.substr(kJournalMagic.size())).u64(file_identity) ||
+      file_identity != identity) {
+    util::warn_once("ckpt-bad-journal:" + path.string(), "ckpt",
+                    "journal has a foreign or torn header; ignoring it");
+    return std::nullopt;
+  }
+
+  core::LoopResume state;
+  bool have_snapshot = false;
+  std::vector<std::string_view> rounds;  // after the last valid snapshot
+  std::size_t pos = kJournalHeaderSize;
+  while (pos < view.size()) {
+    util::BinaryReader rec(view.substr(pos));
+    std::uint64_t len = 0;
+    std::uint64_t checksum = 0;
+    std::uint8_t type = 0;
+    const bool framed = rec.u64(len) && rec.u64(checksum) && rec.u8(type);
+    const bool snapshot = type == static_cast<std::uint8_t>(RecordType::kSnapshot);
+    const bool sound =
+        framed && rec.remaining() >= len &&
+        util::fnv1a64(view.substr(pos + 16, len + 1)) == checksum;
+    const std::string_view payload =
+        sound ? view.substr(pos + kRecordHeaderSize, len) : std::string_view();
+    bool applied = false;
+    if (sound && snapshot) {
+      applied = decode_snapshot(payload, state);
+      if (applied) {
+        have_snapshot = true;
+        rounds.clear();
+      }
+    } else if (sound && type == static_cast<std::uint8_t>(RecordType::kRound)) {
+      rounds.push_back(payload);
+      applied = true;
+    }
+    if (!applied) {
+      if (snapshot) {
+        util::warn_once("ckpt-bad-snapshot:" + path.string(), "ckpt",
+                        "snapshot failed validation; falling back to the "
+                        "previous snapshot");
+      } else {
+        util::warn_once("ckpt-torn-log:" + path.string(), "ckpt",
+                        "journal tail is torn; rounds after it will be "
+                        "re-evaluated on resume");
+      }
+      break;
+    }
+    pos += kRecordHeaderSize + len;
+  }
+  if (!have_snapshot) return std::nullopt;
+  state.deltas.reserve(rounds.size());
+  for (std::string_view payload : rounds) {
+    core::RoundDelta delta;
+    if (!decode_round(payload, delta)) {
+      util::warn_once("ckpt-torn-log:" + path.string(), "ckpt",
+                      "journal tail is torn; rounds after it will be "
+                      "re-evaluated on resume");
+      break;
+    }
+    state.deltas.push_back(std::move(delta));
+  }
+  return state;
+}
+
 }  // namespace
+
+std::string encode_snapshot(const core::LoopSnapshot& snap,
+                            std::size_t episodes_from, std::size_t cache_from) {
+  std::string out;
+  encode_snapshot_append(out, snap, episodes_from, cache_from);
+  return out;
+}
+
+bool decode_snapshot(std::string_view payload, core::LoopResume& out) {
+  const std::size_t episodes = out.result.episodes.size();
+  const std::size_t cache = out.cache_log.size();
+  if (apply_snapshot(payload, out)) return true;
+  out.result.episodes.erase(out.result.episodes.begin() +
+                                static_cast<std::ptrdiff_t>(episodes),
+                            out.result.episodes.end());
+  out.cache_log.erase(out.cache_log.begin() + static_cast<std::ptrdiff_t>(cache),
+                      out.cache_log.end());
+  return false;
+}
 
 std::string encode_round(const core::RoundDelta& delta) {
   std::string out;
@@ -451,20 +516,9 @@ std::optional<core::LoopResume> load_resume(const std::string& root,
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) return std::nullopt;
   obs::Span span("ckpt.replay");
-  for (const SnapshotFile& snap : list_snapshots(dir)) {
-    const auto data = read_file(snap.path);
-    if (!data) continue;
-    const auto payload = snapshot_payload(*data, identity);
-    core::LoopResume resume;
-    if (!payload || !decode_snapshot(*payload, resume)) {
-      util::warn_once("ckpt-bad-snapshot:" + snap.path.string(), "ckpt",
-                      "snapshot failed validation; falling back to the "
-                      "previous generation");
-      continue;
-    }
-    std::filesystem::path log_path = snap.path;
-    log_path.replace_extension(".log");
-    resume.deltas = read_changelog(log_path, identity, snap.episode);
+  for (const JournalFile& journal : list_journals(dir)) {
+    auto resume = read_journal(journal.path, identity);
+    if (!resume) continue;
     if (obs::Registry::instance().enabled()) {
       obs::add_counter("ckpt.resumes", 1);
     }
@@ -485,27 +539,61 @@ RunCheckpointer::RunCheckpointer(Options opts)
   }
 }
 
+bool RunCheckpointer::start_journal(int next_episode, bool torn) {
+  const std::string name = "jrn-" + std::to_string(next_episode) + ".jrn";
+  const std::filesystem::path final_path = dir_ / name;
+  const std::filesystem::path tmp_path = dir_ / (name + ".tmp");
+  // The stream stays open across the rename: later records are appended
+  // to the same file under its final name.
+  journal_.open(tmp_path, std::ios::binary | std::ios::trunc);
+  journal_.write(record_buf_.data(),
+                 static_cast<std::streamsize>(record_buf_.size()));
+  if (!journal_.flush()) {
+    util::warn_once("ckpt-write-failed:" + dir_.string(), "ckpt",
+                    "snapshot write failed; run continues uncheckpointed");
+    journal_.close();
+    return false;
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp_path, final_path, ec);
+  if (ec) {
+    util::warn_once("ckpt-write-failed:" + dir_.string(), "ckpt",
+                    "snapshot rename failed; run continues uncheckpointed");
+    journal_.close();
+    return false;
+  }
+  // Simulated crash right after the torn journal landed: the older
+  // journal must survive it.
+  if (torn) std::_Exit(42);
+  for (const JournalFile& journal : list_journals(dir_)) {
+    if (journal.path != final_path) std::filesystem::remove(journal.path, ec);
+  }
+  return true;
+}
+
 void RunCheckpointer::on_snapshot(const core::LoopSnapshot& snap) {
   obs::Span span("ckpt.snapshot");
-  // Envelope and payload are assembled in one buffer that is reused
-  // across snapshots (its capacity sticks at the largest snapshot seen),
-  // with the size/checksum fields back-patched once the payload length is
-  // known — a snapshot costs one encoding pass plus the checksum, not
-  // intermediate copies.
-  std::string& file = file_buf_;
-  file.clear();
-  file.append(kSnapshotMagic);
-  util::BinaryWriter header(file);
-  header.u64(opts_.identity);
-  const std::size_t size_pos = file.size();
-  header.u64(0);
-  header.u64(0);
-  const std::size_t payload_pos = file.size();
-  encode_snapshot_append(file, snap);
-  const std::size_t payload_size = file.size() - payload_pos;
-  patch_u64(file, size_pos, payload_size);
-  patch_u64(file, size_pos + 8,
-            util::fnv1a64(std::string_view(file).substr(payload_pos)));
+  const std::size_t n_episodes = snap.result->episodes.size();
+  const std::size_t n_cache = snap.cache_log->size();
+  // CodesignLoop's records and cache log only grow; a state that is not
+  // an extension of what the journal holds starts a new journal.
+  if (n_episodes < episodes_written_ || n_cache < cache_written_) journal_.close();
+  const bool fresh = !journal_.is_open();
+  const std::size_t episodes_from = fresh ? 0 : episodes_written_;
+  const std::size_t cache_from = fresh ? 0 : cache_written_;
+
+  // Header (new journal only) and record are assembled in one buffer that
+  // is reused across snapshots and rounds, with the length/checksum fields
+  // back-patched once the payload is encoded in place.
+  std::string& buf = record_buf_;
+  buf.clear();
+  if (fresh) {
+    buf.append(kJournalMagic);
+    util::BinaryWriter(buf).u64(opts_.identity);
+  }
+  const std::size_t at = begin_record(buf, RecordType::kSnapshot);
+  encode_snapshot_append(buf, snap, episodes_from, cache_from);
+  const std::size_t payload_size = seal_record(buf, at);
 
   // Fires on the first snapshot at-or-after the armed episode (drained
   // boundaries rarely land exactly on one).
@@ -513,49 +601,25 @@ void RunCheckpointer::on_snapshot(const core::LoopSnapshot& snap) {
       util::FaultInjector::instance().torn_snapshot_episode();
   const bool torn =
       torn_at >= 0 && static_cast<long long>(snap.next_episode) >= torn_at;
-  if (torn) file.resize(file.size() - payload_size / 2 - 1);
+  if (torn) buf.resize(buf.size() - payload_size / 2 - 1);
 
-  const std::filesystem::path final_path =
-      dir_ / ("snap-" + std::to_string(snap.next_episode) + ".ckpt");
-  const std::filesystem::path tmp_path =
-      dir_ / ("snap-" + std::to_string(snap.next_episode) + ".ckpt.tmp");
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-    if (!out.flush()) {
+  if (fresh) {
+    if (!start_journal(snap.next_episode, torn)) return;
+  } else {
+    journal_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    journal_.flush();
+    // Simulated crash immediately after tearing the snapshot record.
+    if (torn) std::_Exit(42);
+    if (!journal_) {
       util::warn_once("ckpt-write-failed:" + dir_.string(), "ckpt",
-                      "snapshot write failed; run continues uncheckpointed");
+                      "snapshot append failed; the next snapshot starts a "
+                      "new journal");
+      journal_.close();
       return;
     }
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    util::warn_once("ckpt-write-failed:" + dir_.string(), "ckpt",
-                    "snapshot rename failed; run continues uncheckpointed");
-    return;
-  }
-  if (torn) {
-    // Simulated crash immediately after tearing the snapshot file.
-    std::_Exit(42);
-  }
-
-  if (log_.is_open()) log_.close();
-  rotate_generations();
-
-  std::filesystem::path log_path = final_path;
-  log_path.replace_extension(".log");
-  log_.open(log_path, std::ios::binary | std::ios::trunc);
-  if (log_.is_open()) {
-    std::string header_bytes;
-    header_bytes.append(kChangelogMagic);
-    util::BinaryWriter w(header_bytes);
-    w.u64(opts_.identity);
-    w.i64(snap.next_episode);
-    log_.write(header_bytes.data(),
-               static_cast<std::streamsize>(header_bytes.size()));
-    log_.flush();
-  }
+  episodes_written_ = n_episodes;
+  cache_written_ = n_cache;
   ++snapshots_written_;
   if (obs::Registry::instance().enabled()) {
     obs::add_counter("ckpt.snapshots", 1);
@@ -563,50 +627,32 @@ void RunCheckpointer::on_snapshot(const core::LoopSnapshot& snap) {
 }
 
 void RunCheckpointer::on_round(const core::RoundDelta& delta) {
-  // No generation of our own open yet (fresh run before the first
-  // snapshot, or resumed run still replaying toward one): the previous
-  // process's changelog is not ours to extend, so the round is simply not
-  // logged — a crash here resumes from the last snapshot again.
-  if (!log_.is_open()) return;
-  std::string& record = record_buf_;
-  record.clear();
-  util::BinaryWriter w(record);
-  const std::size_t len_pos = record.size();
-  w.u64(0);
-  w.u64(0);
-  const std::size_t payload_pos = record.size();
-  encode_round_append(record, delta);
-  const std::size_t payload_size = record.size() - payload_pos;
-  patch_u64(record, len_pos, payload_size);
-  patch_u64(record, len_pos + 8,
-            util::fnv1a64(std::string_view(record).substr(payload_pos)));
+  // No journal of our own yet (fresh run before the first snapshot, or
+  // resumed run still replaying toward one): the previous process's
+  // journal is not ours to extend, so the round is simply not logged — a
+  // crash here resumes from the old journal again.
+  if (!journal_.is_open()) return;
+  std::string& buf = record_buf_;
+  buf.clear();
+  const std::size_t at = begin_record(buf, RecordType::kRound);
+  encode_round_append(buf, delta);
+  const std::size_t payload_size = seal_record(buf, at);
 
   const long long torn_at = util::FaultInjector::instance().torn_log_episode();
   const bool torn =
       torn_at >= 0 && static_cast<long long>(delta.first_episode) >= torn_at;
-  if (torn) record.resize(record.size() - payload_size / 2 - 1);
-  log_.write(record.data(), static_cast<std::streamsize>(record.size()));
-  log_.flush();
+  if (torn) buf.resize(buf.size() - payload_size / 2 - 1);
+  journal_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  journal_.flush();
   if (torn) {
     // Simulated crash mid-append: the tail record is torn.
     std::_Exit(42);
   }
-  if (!log_) {
+  if (!journal_) {
     util::warn_once("ckpt-log-write-failed:" + dir_.string(), "ckpt",
-                    "changelog append failed; later rounds will be "
+                    "journal append failed; later rounds will be "
                     "re-evaluated on resume");
-  }
-}
-
-void RunCheckpointer::rotate_generations() {
-  const std::vector<SnapshotFile> snaps = list_snapshots(dir_);
-  for (std::size_t i = static_cast<std::size_t>(std::max(opts_.keep, 1));
-       i < snaps.size(); ++i) {
-    std::error_code ec;
-    std::filesystem::remove(snaps[i].path, ec);
-    std::filesystem::path log_path = snaps[i].path;
-    log_path.replace_extension(".log");
-    std::filesystem::remove(log_path, ec);
+    journal_.close();
   }
 }
 

@@ -82,8 +82,9 @@ struct ExperimentConfig {
   /// every `checkpoint_every` episodes (at the nearest drained round
   /// boundary — cadence only affects when snapshots land, never a trace
   /// byte). With `resume`, a run first restores the newest valid snapshot
-  /// and replays its changelog, producing output byte-identical to an
-  /// uninterrupted run; without a usable checkpoint it cold-starts.
+  /// and replays the rounds logged after it, producing output
+  /// byte-identical to an uninterrupted run; without a usable checkpoint
+  /// it cold-starts.
   /// All three are engine knobs like `parallelism`: normalized away by
   /// the study/evaluation fingerprints.
   std::string checkpoint_dir;

@@ -107,8 +107,8 @@ struct RunResult {
   [[nodiscard]] int episodes_to_reach(double threshold) const;
 };
 
-/// One finalized round's replay record — the changelog unit of the
-/// checkpoint subsystem. It carries exactly what the round's evaluator
+/// One finalized round's replay record — the round record of the
+/// checkpoint journal. It carries exactly what the round's evaluator
 /// produced (the unique cache misses, in job order); everything else a
 /// round did (optimizer mutations, RNG evolution, cache/alias decisions,
 /// counters, records, feedback) is recomputed by replaying the round
@@ -146,7 +146,7 @@ struct LoopSnapshot {
 };
 
 /// Everything CodesignLoop::run needs to continue a checkpointed run:
-/// the snapshot fields plus the changelog's per-round deltas since it.
+/// the snapshot fields plus the per-round deltas logged since it.
 struct LoopResume {
   int next_episode = 0;
   util::Rng::State rng_state;
@@ -236,7 +236,7 @@ class CodesignLoop {
     /// Snapshot sink (the ckpt module's RunCheckpointer). Driving thread.
     std::function<void(const LoopSnapshot&)> on_snapshot;
 
-    /// Changelog sink: one finalized round's delta, in round order.
+    /// Round sink: one finalized round's delta, in round order.
     /// Not invoked for rounds replayed from a checkpoint. Driving thread.
     std::function<void(const RoundDelta&)> on_round;
 

@@ -509,9 +509,9 @@ RunResult CodesignLoop::run(util::Rng& rng) {
   // reached, drain the window, snapshot at the actual drained episode.
   // Batch sizes are never clamped to a boundary — that would change
   // feedback grouping and fork the trace from an uncheckpointed run.
-  // After a restore the first boundary is "now": the checkpointer opens a
-  // fresh changelog generation only at a snapshot, so emit one as soon as
-  // the (possibly diverged) replay window drains.
+  // After a restore the first boundary is "now": the checkpointer starts
+  // its own journal only at a snapshot, so emit one as soon as the
+  // (possibly diverged) replay window drains.
   long long next_ckpt = std::numeric_limits<long long>::max();
   if (ckpt_on) {
     next_ckpt = restored ? static_cast<long long>(ep)
@@ -525,7 +525,7 @@ RunResult CodesignLoop::run(util::Rng& rng) {
              static_cast<long long>(ep) < next_ckpt) {
         // Fault injection: die before planning this episode. Sits after
         // the boundary drain above, so "kill at boundary k" always has
-        // snap-k safely on disk first.
+        // the snapshot at k safely on disk first.
         if (kill_episode >= 0 && ep >= kill_episode) std::_Exit(42);
         auto round = plan_round(ep);
         ep += static_cast<int>(round->designs.size());
@@ -542,11 +542,13 @@ RunResult CodesignLoop::run(util::Rng& rng) {
       if (ckpt_on && window.empty() &&
           (static_cast<long long>(ep) >= next_ckpt || ep >= opts_.episodes)) {
         emit_snapshot(ep);
-        // Geometric back-off: a snapshot costs O(episodes so far) to
-        // encode, so a fixed cadence makes total snapshot work quadratic
-        // in run length. Spacing boundaries at least a quarter of the
-        // completed run apart keeps it linear; for runs shorter than
+        // Geometric back-off: boundaries are spaced at least a quarter of
+        // the completed run apart; for runs shorter than
         // 4 * checkpoint_every the cadence is exactly the configured one.
+        // A journal snapshot costs O(episodes since the previous one), so
+        // snapshot bytes stay linear at any cadence; the back-off still
+        // bounds how often the window drains at a boundary, which stalls
+        // the pipelined overlap.
         next_ckpt = static_cast<long long>(ep) +
                     std::max(static_cast<long long>(opts_.checkpoint_every),
                              static_cast<long long>(ep) / 4);

@@ -907,12 +907,18 @@ std::uint64_t study_fingerprint(const ExperimentConfig& config,
   canon.persistent_cache_max_bytes = def.persistent_cache_max_bytes;
   canon.lcda_episodes = def.lcda_episodes;
   canon.nacim_episodes = def.nacim_episodes;
-  canon.checkpoint_dir = def.checkpoint_dir;
-  canon.checkpoint_every = def.checkpoint_every;
-  canon.resume = def.resume;
+  // The checkpoint knobs are engine knobs too, and they postdate the v1
+  // flat-JSON cache, whose file names this fingerprint still reproduces
+  // (store migration): they are left out of the hashed text entirely.
+  util::Json hashed = util::Json::object();
+  for (const auto& [key, value] :
+       config_to_json(canon, /*include_defaults=*/true).items()) {
+    if (key != "checkpoint_dir" && key != "checkpoint_every" && key != "resume") {
+      hashed[key] = value;
+    }
+  }
   const std::string text = std::string(strategy_name(strategy)) + '/' +
-                           std::to_string(episodes) + '\n' +
-                           config_to_json(canon, /*include_defaults=*/true).dump();
+                           std::to_string(episodes) + '\n' + hashed.dump();
   return util::fnv1a64(text);
 }
 

@@ -17,8 +17,8 @@ namespace lcda::util {
 ///                          starts at episode >= 9
 ///   torn-snapshot@episode:9  checkpoint writer truncates the snapshot it
 ///                          writes at episode >= 9, then _exit(42)s
-///   torn-log@episode:9     checkpoint writer truncates the changelog
-///                          record for the round starting at episode >= 9,
+///   torn-log@episode:9     checkpoint writer truncates the round record
+///                          for the round starting at episode >= 9,
 ///                          then _exit(42)s
 ///
 /// Everything except `sleep` arms on attempt 0 only — a retried or

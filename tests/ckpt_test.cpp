@@ -1,10 +1,12 @@
-// The checkpoint subsystem: fault-spec parsing, value codecs, snapshot
-// atomicity and generation fallback, changelog torn-tail tolerance, and —
+// The checkpoint subsystem: fault-spec parsing, value codecs, the
+// append-only journal (whole first snapshot, delta snapshots, fallback
+// past a corrupt snapshot, torn-tail tolerance), and —
 // the load-bearing contract — checkpointed, killed-and-resumed runs
 // byte-identical to uninterrupted ones for every serializable strategy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -32,7 +34,7 @@ std::string temp_dir(const char* tag) {
 }
 
 /// A small config with per-episode rounds, so checkpoint boundaries land
-/// exactly on the cadence and every strategy produces several generations
+/// exactly on the cadence and every strategy writes several snapshots
 /// within a handful of episodes.
 core::ExperimentConfig small_config() {
   core::ExperimentConfig config = core::scenario_by_name("paper-energy").config;
@@ -59,29 +61,77 @@ std::string render(const core::RunResult& run, std::string_view label) {
   return core::run_to_json(run, label).dump(2) + "\n---\n" + csv.str();
 }
 
-/// The snapshot files of a study directory, as (episode, path) sorted by
-/// episode ascending.
-std::vector<std::pair<int, std::filesystem::path>> list_snapshots(
+/// The journals of a study directory, as (episode, path) sorted by episode
+/// ascending.
+std::vector<std::pair<int, std::filesystem::path>> list_journals(
     const std::filesystem::path& study_dir) {
-  std::vector<std::pair<int, std::filesystem::path>> snaps;
+  std::vector<std::pair<int, std::filesystem::path>> journals;
   std::error_code ec;
   for (const auto& entry :
        std::filesystem::directory_iterator(study_dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() > 10 && name.rfind("snap-", 0) == 0 &&
-        name.substr(name.size() - 5) == ".ckpt") {
-      snaps.emplace_back(std::atoi(name.c_str() + 5), entry.path());
+    if (name.size() > 8 && name.rfind("jrn-", 0) == 0 &&
+        name.substr(name.size() - 4) == ".jrn") {
+      journals.emplace_back(std::atoi(name.c_str() + 4), entry.path());
     }
   }
-  std::sort(snaps.begin(), snaps.end());
-  return snaps;
+  std::sort(journals.begin(), journals.end());
+  return journals;
 }
 
-void remove_generation(const std::filesystem::path& ckpt_path) {
-  std::filesystem::path log = ckpt_path;
-  log.replace_extension(".log");
-  std::filesystem::remove(ckpt_path);
-  std::filesystem::remove(log);
+std::string slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// One record frame of a journal, read from the documented layout (not
+/// through the ckpt reader): [u64 len | u64 fnv | u8 type | payload].
+struct JournalRecord {
+  std::size_t offset = 0;  ///< of the frame
+  std::size_t end = 0;     ///< one past the payload
+  ckpt::RecordType type = ckpt::RecordType::kRound;
+};
+
+std::vector<JournalRecord> journal_records(const std::string& bytes) {
+  std::vector<JournalRecord> records;
+  std::size_t pos = ckpt::kJournalHeaderSize;
+  while (pos + ckpt::kRecordHeaderSize <= bytes.size()) {
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof len);
+    const std::size_t end = pos + ckpt::kRecordHeaderSize + len;
+    if (end > bytes.size()) break;
+    records.push_back(
+        {pos, end, static_cast<ckpt::RecordType>(bytes[pos + 16])});
+    pos = end;
+  }
+  return records;
+}
+
+/// The records of one type, in journal order.
+std::vector<JournalRecord> records_of(const std::string& bytes,
+                                      ckpt::RecordType type) {
+  std::vector<JournalRecord> out;
+  for (const JournalRecord& r : journal_records(bytes)) {
+    if (r.type == type) out.push_back(r);
+  }
+  return out;
+}
+
+void write_file(const std::filesystem::path& path, std::string_view bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Replaces every journal of `study_dir` with `bytes` under `name`.
+void replace_journals(const std::filesystem::path& study_dir,
+                      const std::filesystem::path& name,
+                      std::string_view bytes) {
+  for (const auto& [episode, path] : list_journals(study_dir)) {
+    std::filesystem::remove(path);
+  }
+  write_file(study_dir / name, bytes);
 }
 
 // ------------------------------------------------------------- LCDA_FAULT
@@ -209,6 +259,63 @@ TEST(Codec, SnapshotPayloadRoundTripsBitExactly) {
   }
 }
 
+TEST(Codec, SnapshotDeltaAppliesOnlyOnItsBase) {
+  core::ExperimentConfig config = small_config();
+  const core::RunResult run =
+      core::run_strategy(core::Strategy::kGenetic, 6, config);
+  std::vector<core::CacheLogEntry> cache_log;
+  for (const core::EpisodeRecord& ep : run.episodes) {
+    core::Evaluation ev;
+    ev.accuracy = ep.accuracy;
+    cache_log.push_back({ep.design.hash(), ev, ep.valid});
+  }
+  const std::string blob = "blob";
+  core::LoopSnapshot snap;
+  snap.next_episode = 6;
+  snap.rng_state = util::Rng(5).state();
+  snap.optimizer_state = &blob;
+  snap.result = &run;
+  snap.cache_log = &cache_log;
+  const std::string whole = ckpt::encode_snapshot(snap);
+  const std::string delta = ckpt::encode_snapshot(snap, 4, 3);
+  EXPECT_LT(delta.size(), whole.size());
+
+  // The first 4 records and 3 cache entries plus the delta rebuild exactly
+  // the whole snapshot's state.
+  core::LoopResume base;
+  base.result.episodes.assign(run.episodes.begin(), run.episodes.begin() + 4);
+  base.cache_log.assign(cache_log.begin(), cache_log.begin() + 3);
+  ASSERT_TRUE(ckpt::decode_snapshot(delta, base));
+  core::LoopSnapshot again;
+  again.next_episode = base.next_episode;
+  again.rng_state = base.rng_state;
+  again.optimizer_state = &base.optimizer_state;
+  again.result = &base.result;
+  again.cache_log = &base.cache_log;
+  EXPECT_EQ(ckpt::encode_snapshot(again), whole);
+
+  // A snapshot whose head disagrees with its record count is rejected.
+  snap.next_episode = 7;
+  core::LoopResume miscounted;
+  EXPECT_FALSE(ckpt::decode_snapshot(ckpt::encode_snapshot(snap), miscounted));
+  EXPECT_TRUE(miscounted.result.episodes.empty());
+
+  // On any other base the delta is rejected and the state left as it was.
+  core::LoopResume other;
+  other.result.episodes.assign(run.episodes.begin(), run.episodes.begin() + 3);
+  other.cache_log.assign(cache_log.begin(), cache_log.begin() + 3);
+  other.optimizer_state = "before";
+  EXPECT_FALSE(ckpt::decode_snapshot(delta, other));
+  EXPECT_EQ(other.result.episodes.size(), 3u);
+  EXPECT_EQ(other.cache_log.size(), 3u);
+  EXPECT_EQ(other.optimizer_state, "before");
+  // A truncated delta appends nothing either.
+  other.result.episodes.push_back(run.episodes[3]);
+  EXPECT_FALSE(ckpt::decode_snapshot(delta.substr(0, delta.size() - 1), other));
+  EXPECT_EQ(other.result.episodes.size(), 4u);
+  EXPECT_EQ(other.cache_log.size(), 3u);
+}
+
 TEST(Codec, RoundDeltaRoundTripsAndRejectsTruncation) {
   core::RoundDelta delta;
   delta.first_episode = 42;
@@ -234,46 +341,86 @@ TEST(Codec, RoundDeltaRoundTripsAndRejectsTruncation) {
   EXPECT_FALSE(ckpt::decode_round("", trash));
 }
 
-// --------------------------------------------- snapshot store on disk
+// ------------------------------------------------------ journal on disk
 
-/// A tiny synthetic snapshot (no engine needed) for store-level tests.
-core::LoopSnapshot make_snapshot(int next_episode, const std::string& blob,
-                                 const core::RunResult& result,
-                                 const std::vector<core::CacheLogEntry>& log) {
-  core::LoopSnapshot snap;
-  snap.next_episode = next_episode;
-  snap.rng_state = util::Rng(7).state();
-  snap.optimizer_state = &blob;
-  snap.result = &result;
-  snap.cache_log = &log;
-  return snap;
-}
+/// A run state with `episodes` records (numbered as the loop numbers them)
+/// and one cache-log entry per record — enough for store-level tests
+/// without an engine.
+struct SyntheticRun {
+  core::RunResult result;
+  std::vector<core::CacheLogEntry> log;
 
-TEST(Store, WritesLoadsAndRotatesGenerations) {
-  const std::string root = temp_dir("rotate");
-  const std::uint64_t identity = 0xabcdef12;
+  void grow_to(int episodes) {
+    while (static_cast<int>(result.episodes.size()) < episodes) {
+      core::EpisodeRecord ep;
+      ep.episode = static_cast<int>(result.episodes.size());
+      ep.reward = ep.episode;
+      result.episodes.push_back(ep);
+      result.best_episode = ep.episode;
+      log.push_back({static_cast<std::uint64_t>(ep.episode) + 1000, {}, true});
+    }
+  }
+
+  core::LoopSnapshot snapshot(const std::string& blob) const {
+    core::LoopSnapshot snap;
+    snap.next_episode = static_cast<int>(result.episodes.size());
+    snap.rng_state = util::Rng(7).state();
+    snap.optimizer_state = &blob;
+    snap.result = &result;
+    snap.cache_log = &log;
+    return snap;
+  }
+};
+
+ckpt::RunCheckpointer::Options writer_options(const std::string& root,
+                                              std::uint64_t identity) {
   ckpt::RunCheckpointer::Options opts;
   opts.directory = root;
   opts.identity = identity;
-  ckpt::RunCheckpointer cp(opts);
+  return opts;
+}
+
+core::RoundDelta round_at(int first_episode) {
+  core::RoundDelta delta;
+  delta.first_episode = first_episode;
+  delta.job_hashes = {static_cast<std::uint64_t>(first_episode) * 11};
+  delta.job_evals.resize(1);
+  return delta;
+}
+
+TEST(Store, JournalAppendsDeltaSnapshotsAndLoadsTheNewest) {
+  const std::string root = temp_dir("journal");
+  const std::uint64_t identity = 0xabcdef12;
+  ckpt::RunCheckpointer cp(writer_options(root, identity));
 
   const std::string blob = "state";
-  core::RunResult result;
-  std::vector<core::CacheLogEntry> log;
-  cp.on_snapshot(make_snapshot(2, blob, result, log));
-  cp.on_snapshot(make_snapshot(4, blob, result, log));
-  cp.on_snapshot(make_snapshot(6, blob, result, log));
+  SyntheticRun run;
+  for (int e : {2, 4, 6}) {
+    run.grow_to(e);
+    cp.on_snapshot(run.snapshot(blob));
+  }
   EXPECT_EQ(cp.snapshots_written(), 3);
 
-  // keep=2: only the newest two generations survive.
-  const auto snaps = list_snapshots(ckpt::study_checkpoint_dir(root, identity));
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].first, 4);
-  EXPECT_EQ(snaps[1].first, 6);
+  // One journal, named for its first snapshot, holding three snapshot
+  // records: the first whole, each later one only the records since.
+  const auto study_dir = ckpt::study_checkpoint_dir(root, identity);
+  const auto journals = list_journals(study_dir);
+  ASSERT_EQ(journals.size(), 1u);
+  EXPECT_EQ(journals[0].first, 2);
+  const std::string bytes = slurp(journals[0].second.string());
+  EXPECT_EQ(bytes.substr(0, 8), ckpt::kJournalMagic);
+  const auto snaps = records_of(bytes, ckpt::RecordType::kSnapshot);
+  ASSERT_EQ(snaps.size(), 3u);
+  EXPECT_EQ(bytes.substr(snaps[2].offset + ckpt::kRecordHeaderSize,
+                         snaps[2].end - snaps[2].offset - ckpt::kRecordHeaderSize),
+            ckpt::encode_snapshot(run.snapshot(blob), 4, 4));
 
   const auto resume = ckpt::load_resume(root, identity);
   ASSERT_TRUE(resume.has_value());
   EXPECT_EQ(resume->next_episode, 6);
+  EXPECT_EQ(resume->result.episodes.size(), 6u);
+  EXPECT_EQ(resume->cache_log.size(), 6u);
+  EXPECT_EQ(resume->result.best_episode, 5);
   EXPECT_EQ(resume->optimizer_state, "state");
   EXPECT_TRUE(resume->deltas.empty());
 
@@ -283,27 +430,17 @@ TEST(Store, WritesLoadsAndRotatesGenerations) {
   EXPECT_FALSE(ckpt::load_resume(root + "/nope", identity).has_value());
 }
 
-TEST(Store, ChangelogReplaysAndToleratesTornTail) {
+TEST(Store, RoundsReplayAndTolerateTornTail) {
   const std::string root = temp_dir("torn_log");
   const std::uint64_t identity = 0x77;
-  ckpt::RunCheckpointer::Options opts;
-  opts.directory = root;
-  opts.identity = identity;
-  ckpt::RunCheckpointer cp(opts);
+  ckpt::RunCheckpointer cp(writer_options(root, identity));
 
   const std::string blob = "state";
-  core::RunResult result;
-  std::vector<core::CacheLogEntry> log;
-  cp.on_snapshot(make_snapshot(2, blob, result, log));
-  core::RoundDelta d1;
-  d1.first_episode = 2;
-  d1.job_hashes = {11};
-  d1.job_evals.resize(1);
-  core::RoundDelta d2 = d1;
-  d2.first_episode = 3;
-  d2.job_hashes = {22};
-  cp.on_round(d1);
-  cp.on_round(d2);
+  SyntheticRun run;
+  run.grow_to(2);
+  cp.on_snapshot(run.snapshot(blob));
+  cp.on_round(round_at(2));
+  cp.on_round(round_at(3));
 
   {
     const auto resume = ckpt::load_resume(root, identity);
@@ -315,61 +452,150 @@ TEST(Store, ChangelogReplaysAndToleratesTornTail) {
 
   // Tear the last record: the reader keeps everything before the tear and
   // warns (counted), instead of failing the whole resume.
-  const auto study_dir = ckpt::study_checkpoint_dir(root, identity);
-  const auto log_path = study_dir / "snap-2.log";
-  const auto size = std::filesystem::file_size(log_path);
-  std::filesystem::resize_file(log_path, size - 5);
+  const auto journal = ckpt::study_checkpoint_dir(root, identity) / "jrn-2.jrn";
+  const auto size = std::filesystem::file_size(journal);
+  std::filesystem::resize_file(journal, size - 5);
   const long long warned_before =
-      util::warn_once_count("ckpt-torn-log:" + log_path.string());
+      util::warn_once_count("ckpt-torn-log:" + journal.string());
   const auto resume = ckpt::load_resume(root, identity);
   ASSERT_TRUE(resume.has_value());
   ASSERT_EQ(resume->deltas.size(), 1u);
   EXPECT_EQ(resume->deltas[0].first_episode, 2);
-  EXPECT_GT(util::warn_once_count("ckpt-torn-log:" + log_path.string()),
+  EXPECT_GT(util::warn_once_count("ckpt-torn-log:" + journal.string()),
             warned_before);
 }
 
-TEST(Store, CorruptSnapshotFallsBackToPreviousGeneration) {
+TEST(Store, TornRecordAfterLastSnapshotCostsOnlyTheRoundsAfterIt) {
+  const std::string root = temp_dir("torn_after_snapshot");
+  const std::uint64_t identity = 0x78;
+  ckpt::RunCheckpointer cp(writer_options(root, identity));
+  const std::string blob = "state";
+  SyntheticRun run;
+  run.grow_to(2);
+  cp.on_snapshot(run.snapshot(blob));
+  cp.on_round(round_at(2));
+  cp.on_round(round_at(3));
+  run.grow_to(4);
+  cp.on_snapshot(run.snapshot(blob));
+  for (int e : {4, 5, 6}) cp.on_round(round_at(e));
+
+  // Flip one payload byte of the round at 5: the snapshot at 4 and the
+  // round before the damage survive; only rounds 5 and 6 are lost.
+  const auto journal = ckpt::study_checkpoint_dir(root, identity) / "jrn-2.jrn";
+  std::string bytes = slurp(journal.string());
+  const auto rounds = records_of(bytes, ckpt::RecordType::kRound);
+  ASSERT_EQ(rounds.size(), 5u);
+  bytes[rounds[3].end - 1] ^= 0x10;
+  write_file(journal, bytes);
+  const long long warned_before =
+      util::warn_once_count("ckpt-torn-log:" + journal.string());
+  const auto resume = ckpt::load_resume(root, identity);
+  ASSERT_TRUE(resume.has_value());
+  EXPECT_EQ(resume->next_episode, 4);
+  EXPECT_EQ(resume->result.episodes.size(), 4u);
+  ASSERT_EQ(resume->deltas.size(), 1u);
+  EXPECT_EQ(resume->deltas[0].first_episode, 4);
+  EXPECT_GT(util::warn_once_count("ckpt-torn-log:" + journal.string()),
+            warned_before);
+}
+
+TEST(Store, CorruptSnapshotFallsBackToPreviousSnapshot) {
   const std::string root = temp_dir("fallback");
   const std::uint64_t identity = 0x99;
-  ckpt::RunCheckpointer::Options opts;
-  opts.directory = root;
-  opts.identity = identity;
-  ckpt::RunCheckpointer cp(opts);
+  ckpt::RunCheckpointer cp(writer_options(root, identity));
 
-  const std::string blob_a = "generation A";
-  const std::string blob_b = "generation B";
-  core::RunResult result;
-  std::vector<core::CacheLogEntry> log;
-  cp.on_snapshot(make_snapshot(2, blob_a, result, log));
-  cp.on_snapshot(make_snapshot(4, blob_b, result, log));
+  const std::string blob_a = "snapshot A";
+  const std::string blob_b = "snapshot B";
+  SyntheticRun run;
+  run.grow_to(2);
+  cp.on_snapshot(run.snapshot(blob_a));
+  cp.on_round(round_at(2));
+  run.grow_to(4);
+  cp.on_snapshot(run.snapshot(blob_b));
 
   // Flip a payload byte in the newest snapshot: checksum fails, the
-  // previous generation answers, with a counted warning.
+  // previous snapshot answers with the rounds logged after it, with a
+  // counted warning.
   const auto study_dir = ckpt::study_checkpoint_dir(root, identity);
-  const auto newest = study_dir / "snap-4.ckpt";
+  const auto journal = study_dir / "jrn-2.jrn";
   {
-    std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(-1, std::ios::end);
     f.put('!');
   }
   const long long warned_before =
-      util::warn_once_count("ckpt-bad-snapshot:" + newest.string());
+      util::warn_once_count("ckpt-bad-snapshot:" + journal.string());
   auto resume = ckpt::load_resume(root, identity);
   ASSERT_TRUE(resume.has_value());
   EXPECT_EQ(resume->next_episode, 2);
-  EXPECT_EQ(resume->optimizer_state, "generation A");
-  EXPECT_GT(util::warn_once_count("ckpt-bad-snapshot:" + newest.string()),
+  EXPECT_EQ(resume->result.episodes.size(), 2u);
+  EXPECT_EQ(resume->optimizer_state, "snapshot A");
+  ASSERT_EQ(resume->deltas.size(), 1u);
+  EXPECT_GT(util::warn_once_count("ckpt-bad-snapshot:" + journal.string()),
             warned_before);
 
-  // Corrupt every generation: cold start (nullopt), never a throw.
-  std::filesystem::resize_file(study_dir / "snap-2.ckpt", 3);
+  // Corrupt every snapshot: cold start (nullopt), never a throw.
+  const std::string bytes = slurp(journal.string());
+  std::filesystem::resize_file(
+      journal, records_of(bytes, ckpt::RecordType::kSnapshot)[0].end - 1);
+  EXPECT_FALSE(ckpt::load_resume(root, identity).has_value());
+  std::filesystem::resize_file(journal, 3);
   EXPECT_FALSE(ckpt::load_resume(root, identity).has_value());
 
-  // Garbage and empty files are tolerated the same way.
-  std::ofstream(study_dir / "snap-8.ckpt") << "not a checkpoint at all";
-  std::ofstream(study_dir / "snap-9.ckpt");
+  // Garbage and empty journals are tolerated the same way.
+  std::ofstream(study_dir / "jrn-8.jrn") << "not a checkpoint at all";
+  std::ofstream(study_dir / "jrn-9.jrn");
   EXPECT_FALSE(ckpt::load_resume(root, identity).has_value());
+}
+
+TEST(Store, ResumedWriterStartsWholeAndKeepsOldJournalUntilThen) {
+  const std::string root = temp_dir("resumed_writer");
+  const std::uint64_t identity = 0x5a;
+  const auto study_dir = ckpt::study_checkpoint_dir(root, identity);
+  const std::string blob = "state";
+  SyntheticRun run;
+  {
+    ckpt::RunCheckpointer first(writer_options(root, identity));
+    run.grow_to(2);
+    first.on_snapshot(run.snapshot(blob));
+    first.on_round(round_at(2));
+    run.grow_to(4);
+    first.on_snapshot(run.snapshot(blob));
+  }
+  const std::string old_bytes = slurp((study_dir / "jrn-2.jrn").string());
+
+  // A second writer (a resumed process) logs nothing before its first
+  // snapshot: the old journal is not its to extend, and it stays intact.
+  ckpt::RunCheckpointer second(writer_options(root, identity));
+  second.on_round(round_at(4));
+  ASSERT_EQ(list_journals(study_dir).size(), 1u);
+  EXPECT_EQ(slurp((study_dir / "jrn-2.jrn").string()), old_bytes);
+
+  // Its first snapshot is whole, in a journal of its own; only then is the
+  // old journal deleted. Its next snapshot is a delta again.
+  run.grow_to(6);
+  second.on_snapshot(run.snapshot(blob));
+  const auto journals = list_journals(study_dir);
+  ASSERT_EQ(journals.size(), 1u);
+  EXPECT_EQ(journals[0].first, 6);
+  std::string bytes = slurp(journals[0].second.string());
+  auto snaps = records_of(bytes, ckpt::RecordType::kSnapshot);
+  ASSERT_EQ(snaps.size(), 1u);
+  EXPECT_EQ(bytes.substr(snaps[0].offset + ckpt::kRecordHeaderSize),
+            ckpt::encode_snapshot(run.snapshot(blob)));
+  run.grow_to(8);
+  second.on_snapshot(run.snapshot(blob));
+  bytes = slurp(journals[0].second.string());
+  snaps = records_of(bytes, ckpt::RecordType::kSnapshot);
+  ASSERT_EQ(snaps.size(), 2u);
+  EXPECT_EQ(bytes.substr(snaps[1].offset + ckpt::kRecordHeaderSize),
+            ckpt::encode_snapshot(run.snapshot(blob), 6, 6));
+
+  const auto resume = ckpt::load_resume(root, identity);
+  ASSERT_TRUE(resume.has_value());
+  EXPECT_EQ(resume->next_episode, 8);
+  EXPECT_EQ(resume->result.episodes.size(), 8u);
+  EXPECT_EQ(resume->cache_log.size(), 8u);
 }
 
 // ------------------------------------------------ engine-level contracts
@@ -397,18 +623,22 @@ TEST(Engine, CheckpointingNeverChangesRunBytes) {
     const auto study_dir = ckpt::study_checkpoint_dir(
         ckpt_config.checkpoint_dir,
         core::study_fingerprint(ckpt_config, strategy, episodes));
-    EXPECT_FALSE(list_snapshots(study_dir).empty())
+    EXPECT_EQ(list_journals(study_dir).size(), 1u)
         << core::strategy_name(strategy);
   }
 }
 
 TEST(Engine, ResumeReplaysAndContinuesByteIdentically) {
-  // For every serializable strategy, exercise both resume paths against
-  // the same reference:
-  //  1. newest generation lost -> restore the previous snapshot and REPLAY
-  //     its changelog to the end of the run;
-  //  2. changelog lost too -> restore the previous snapshot and CONTINUE
-  //     LIVE (restored optimizer + RNG must reproduce the tail).
+  // For every serializable strategy, exercise every resume path against
+  // the same reference, each from an edited copy of the reference run's
+  // journal (snapshots at 2, 4, 6 and 8, rounds between them):
+  //  1. newest snapshot lost -> restore the previous snapshot and REPLAY
+  //     the rounds logged after it to the end of the run;
+  //  2. its rounds lost too -> restore the previous snapshot and CONTINUE
+  //     LIVE (restored optimizer + RNG must reproduce the tail);
+  //  3. newest snapshot corrupt -> fall back past it, replay as in 1;
+  //  4. every snapshot corrupt -> cold start;
+  //  5. a completed run resumes instantly.
   for (core::Strategy strategy : serializable_strategies()) {
     SCOPED_TRACE(std::string(core::strategy_name(strategy)));
     const int episodes = 8;
@@ -424,46 +654,58 @@ TEST(Engine, ResumeReplaysAndContinuesByteIdentically) {
     const auto study_dir = ckpt::study_checkpoint_dir(
         config.checkpoint_dir,
         core::study_fingerprint(config, strategy, episodes));
+    const auto journals = list_journals(study_dir);
+    ASSERT_EQ(journals.size(), 1u);
+    const std::filesystem::path name = journals[0].second.filename();
+    const std::string journal = slurp(journals[0].second.string());
+    const auto snaps = records_of(journal, ckpt::RecordType::kSnapshot);
+    ASSERT_EQ(snaps.size(), 4u);
+    const JournalRecord& previous = snaps[2];  // next_episode 6
 
-    // 1. Replay: drop snap-8, resume from snap-6 + its changelog.
+    core::ExperimentConfig resume_config = config;
+    resume_config.resume = true;
+    auto resume_from = [&](std::string_view bytes) {
+      replace_journals(study_dir, name, bytes);
+      return core::run_strategy(strategy, episodes, resume_config);
+    };
+
+    // 1. Replay: the journal up to the last snapshot record.
     {
-      auto snaps = list_snapshots(study_dir);
-      ASSERT_EQ(snaps.size(), 2u);
-      EXPECT_EQ(snaps.back().first, episodes);
-      remove_generation(snaps.back().second);
-      core::ExperimentConfig resume_config = config;
-      resume_config.resume = true;
       const core::RunResult resumed =
-          core::run_strategy(strategy, episodes, resume_config);
+          resume_from(std::string_view(journal).substr(0, snaps[3].offset));
       EXPECT_EQ(render(resumed, "run"), reference_bytes);
       EXPECT_EQ(resumed.resumed_episodes, episodes);  // nothing re-evaluated
     }
 
-    // 2. Live continuation: drop snap-8 again AND the surviving
-    //    generation's changelog.
+    // 2. Live continuation: the journal up to the snapshot at 6.
     {
-      auto snaps = list_snapshots(study_dir);
-      remove_generation(snaps.back().second);
-      snaps = list_snapshots(study_dir);
-      ASSERT_EQ(snaps.size(), 1u);
-      const int base = snaps.front().first;
-      ASSERT_LT(base, episodes);
-      std::filesystem::path log = snaps.front().second;
-      log.replace_extension(".log");
-      std::filesystem::remove(log);
-      core::ExperimentConfig resume_config = config;
-      resume_config.resume = true;
       const core::RunResult resumed =
-          core::run_strategy(strategy, episodes, resume_config);
+          resume_from(std::string_view(journal).substr(0, previous.end));
       EXPECT_EQ(render(resumed, "run"), reference_bytes);
-      EXPECT_EQ(resumed.resumed_episodes, base);  // tail ran live
+      EXPECT_EQ(resumed.resumed_episodes, 6);  // tail ran live
     }
 
-    // 3. Resuming a completed run restores the final snapshot and runs
-    //    nothing at all.
+    // 3. Fallback: the whole journal, newest snapshot's payload damaged.
     {
-      core::ExperimentConfig resume_config = config;
-      resume_config.resume = true;
+      std::string damaged = journal;
+      damaged[snaps[3].end - 2] ^= 0x01;
+      const core::RunResult resumed = resume_from(damaged);
+      EXPECT_EQ(render(resumed, "run"), reference_bytes);
+      EXPECT_EQ(resumed.resumed_episodes, episodes);
+    }
+
+    // 4. Cold start: the first snapshot damaged, so nothing after it counts.
+    {
+      std::string damaged = journal;
+      damaged[snaps[0].end - 2] ^= 0x01;
+      const core::RunResult resumed = resume_from(damaged);
+      EXPECT_EQ(render(resumed, "run"), reference_bytes);
+      EXPECT_EQ(resumed.resumed_episodes, 0);
+    }
+
+    // 5. The cold run above rewrote a complete journal: resuming it
+    //    restores the final snapshot and runs nothing at all.
+    {
       const core::RunResult resumed =
           core::run_strategy(strategy, episodes, resume_config);
       EXPECT_EQ(render(resumed, "run"), reference_bytes);
@@ -500,13 +742,6 @@ std::string lcda_run_path() {
       std::filesystem::path(self).parent_path() / "lcda_run";
   std::error_code ec;
   return std::filesystem::exists(candidate, ec) ? candidate.string() : "";
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
 }
 
 /// The byte-contract slice of a CLI JSON document: the runs array. The

@@ -1,18 +1,21 @@
 // Robustness fuzzing of every text-handling path: random byte soup, random
 // bracket soup and truncated real payloads must never crash, and whatever
 // parses must land inside the search space. These are the paths that face
-// an uncontrolled LLM in production. The binary store segment decoder gets
-// seeded mutation fuzzing too: damaged segment files must be rejected
-// cleanly or serve only records whose checksum verifies.
+// an uncontrolled LLM in production. The binary store segment decoder and
+// the checkpoint journal reader get seeded mutation fuzzing too: damaged
+// files must be rejected cleanly or serve only records whose checksum
+// verifies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "lcda/ckpt/checkpoint.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt.h"
 #include "lcda/llm/prompt_reader.h"
@@ -364,6 +367,240 @@ TEST_P(SegmentFuzz, MutantsAreRejectedOrServeOnlyVerifiedRecords) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SegmentFuzz, ::testing::Values(21, 22, 23));
+
+// ------------------------------------------------ checkpoint journal reader
+
+/// A healthy journal written by the real writer, plus what a resume from
+/// it may legitimately return: the whole state at each snapshot, and the
+/// rounds logged after each snapshot.
+struct HealthyJournal {
+  std::filesystem::path path;
+  std::string bytes;
+  std::vector<std::string> states;               ///< whole snapshot encodings
+  std::vector<std::vector<std::string>> rounds;  ///< per snapshot, encoded
+  int first_episode = 0;                         ///< names the journal
+};
+
+HealthyJournal healthy_journal(util::Rng& rng, const std::string& root,
+                               std::uint64_t identity) {
+  namespace fs = std::filesystem;
+  fs::remove_all(root);
+  HealthyJournal out;
+  core::RunResult result;
+  std::vector<core::CacheLogEntry> log;
+  const std::string blob(rng.index(12), 'o');
+  ckpt::RunCheckpointer cp({root, identity});
+  int episode = 0;
+  for (int snapshot = 0; snapshot < 4; ++snapshot) {
+    const int rounds = static_cast<int>(rng.uniform_int(0, 3));
+    if (snapshot > 0) out.rounds.emplace_back();
+    for (int r = 0; r < rounds; ++r) {
+      core::RoundDelta delta;
+      delta.first_episode = episode;
+      for (int j = 0; j < static_cast<int>(rng.uniform_int(1, 2)); ++j) {
+        core::EpisodeRecord ep;
+        ep.episode = episode++;
+        ep.design.rollout.assign(rng.index(4), {16, 3});
+        ep.design.hw.adc_bits = static_cast<int>(rng.uniform_int(1, 8));
+        ep.reward = rng.uniform(-1.0, 1.0);
+        ep.valid = rng.chance(0.8);
+        result.episodes.push_back(ep);
+        if (result.best_episode < 0 || ep.reward > result.best_reward()) {
+          result.best_episode = ep.episode;
+        }
+        core::Evaluation ev;
+        ev.accuracy = rng.uniform(0.0, 1.0);
+        ev.cost.invalid_reason = std::string(rng.index(6), 'r');
+        delta.job_hashes.push_back(rng.next_u64());
+        delta.job_evals.push_back(ev);
+        log.push_back({delta.job_hashes.back(), ev, rng.chance(0.5)});
+      }
+      if (snapshot > 0) {
+        cp.on_round(delta);
+        out.rounds.back().push_back(ckpt::encode_round(delta));
+      }
+    }
+    core::LoopSnapshot snap;
+    snap.next_episode = episode;
+    snap.rng_state = util::Rng(rng.next_u64()).state();
+    snap.optimizer_state = &blob;
+    snap.result = &result;
+    snap.cache_log = &log;
+    cp.on_snapshot(snap);
+    if (snapshot == 0) out.first_episode = episode;
+    out.states.push_back(ckpt::encode_snapshot(snap));
+  }
+  out.rounds.emplace_back();  // nothing logged after the last snapshot
+  const auto dir = ckpt::study_checkpoint_dir(root, identity);
+  out.path = dir / ("jrn-" + std::to_string(out.first_episode) + ".jrn");
+  std::ifstream in(out.path, std::ios::binary);
+  out.bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  return out;
+}
+
+/// Frame offsets of the records a journal's bytes parse into.
+std::vector<std::size_t> record_offsets(const std::string& bytes) {
+  std::vector<std::size_t> offsets;
+  std::size_t pos = ckpt::kJournalHeaderSize;
+  while (pos + ckpt::kRecordHeaderSize <= bytes.size()) {
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof len);
+    if (len > bytes.size() - pos - ckpt::kRecordHeaderSize) break;
+    offsets.push_back(pos);
+    pos += ckpt::kRecordHeaderSize + len;
+  }
+  return offsets;
+}
+
+/// Re-seals one record's checksum (over type byte + payload) when its
+/// length fits, so edits get past it to the decoders behind.
+void reseal_record(std::string& bytes, std::size_t at) {
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + at, sizeof len);
+  if (len > bytes.size() - at - ckpt::kRecordHeaderSize) return;
+  const std::uint64_t fnv =
+      util::fnv1a64(std::string_view(bytes).substr(at + 16, len + 1));
+  std::memcpy(bytes.data() + at + 8, &fnv, sizeof fnv);
+}
+
+enum class Damage { kPlain, kResealed, kDuplicated };
+
+/// Bit flips, truncation, appended bytes, record length and type edits
+/// (resealed or not), and whole-record copies with intact checksums.
+Damage mutate_journal(util::Rng& rng, std::string& bytes) {
+  Damage damage = Damage::kPlain;
+  const int edits = static_cast<int>(rng.uniform_int(1, 3));
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    const std::vector<std::size_t> offsets = record_offsets(bytes);
+    const std::size_t at = offsets.empty() ? 0 : offsets[rng.index(offsets.size())];
+    switch (rng.uniform_int(0, 9)) {
+      default:  // 0-4: the most common damage, a few flipped bits
+        bytes[rng.index(bytes.size())] ^= static_cast<char>(1u << rng.index(8));
+        break;
+      case 5:
+        bytes.resize(rng.index(bytes.size()));
+        break;
+      case 6:
+        for (std::size_t k = 1 + rng.index(64); k > 0; --k) {
+          bytes.push_back(static_cast<char>(rng.next_u64()));
+        }
+        break;
+      case 7:
+      case 8: {
+        if (offsets.empty()) break;
+        if (rng.uniform_int(7, 8) == 7) {
+          std::uint64_t len = 0;
+          std::memcpy(&len, bytes.data() + at, sizeof len);
+          len = rng.chance(0.5) ? len + rng.index(3) - 1 : rng.next_u64();
+          std::memcpy(bytes.data() + at, &len, sizeof len);
+        } else {
+          bytes[at + 16] = static_cast<char>(rng.chance(0.5) ? 3 - bytes[at + 16]
+                                                             : rng.next_u64());
+        }
+        if (rng.chance(0.7)) {
+          reseal_record(bytes, at);
+          damage = Damage::kResealed;
+        }
+        break;
+      }
+      case 9: {
+        if (offsets.empty()) break;
+        std::uint64_t len = 0;
+        std::memcpy(&len, bytes.data() + at, sizeof len);
+        const std::string record =
+            bytes.substr(at, ckpt::kRecordHeaderSize + len);
+        const std::size_t to = offsets[rng.index(offsets.size())];
+        bytes.insert(to, record);
+        if (damage == Damage::kPlain) damage = Damage::kDuplicated;
+        break;
+      }
+    }
+  }
+  return damage;
+}
+
+std::string whole_state(const core::LoopResume& resume) {
+  core::LoopSnapshot snap;
+  snap.next_episode = resume.next_episode;
+  snap.rng_state = resume.rng_state;
+  snap.optimizer_state = &resume.optimizer_state;
+  snap.result = &resume.result;
+  snap.cache_log = &resume.cache_log;
+  return ckpt::encode_snapshot(snap);
+}
+
+class CheckpointFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CheckpointFuzz, MutantsLoadNothingOrOnlyVerifiedRecords) {
+  namespace fs = std::filesystem;
+  util::Rng rng(GetParam());
+  const std::string root =
+      (fs::temp_directory_path() /
+       ("lcda_fuzz_journal_" + std::to_string(GetParam())))
+          .string();
+  const std::uint64_t identity = 0x33;
+  const HealthyJournal healthy = healthy_journal(rng, root, identity);
+  ASSERT_GT(healthy.bytes.size(), ckpt::kJournalHeaderSize);
+  std::vector<std::string> all_rounds;
+  for (const auto& after : healthy.rounds) {
+    all_rounds.insert(all_rounds.end(), after.begin(), after.end());
+  }
+  const fs::path& journal = healthy.path;
+
+  testing::internal::CaptureStderr();  // one warning per damaged journal
+  int cold = 0;
+  int fell_back = 0;
+  for (int i = 0; i < 100; ++i) {
+    std::string bytes = healthy.bytes;
+    const Damage damage = i > 0 ? mutate_journal(rng, bytes) : Damage::kPlain;
+    std::ofstream(journal, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+    const std::optional<core::LoopResume> resume = ckpt::load_resume(root, identity);
+    if (!resume) {
+      ++cold;
+      EXPECT_GT(i, 0) << "the healthy journal must load";
+      continue;
+    }
+    EXPECT_EQ(resume->result.episodes.size(),
+              static_cast<std::size_t>(resume->next_episode))
+        << "case " << i;
+    if (damage == Damage::kResealed) continue;  // forged checksums
+    // Every record behind the resume verified: its state is the state at
+    // one of the writer's snapshots, and its rounds were logged after it
+    // (in order, unless a verified record was copied).
+    const auto it = std::find(healthy.states.begin(), healthy.states.end(),
+                              whole_state(*resume));
+    ASSERT_NE(it, healthy.states.end()) << "case " << i;
+    const std::size_t k = static_cast<std::size_t>(it - healthy.states.begin());
+    if (k + 1 < healthy.states.size()) ++fell_back;
+    const std::vector<std::string>& after = healthy.rounds[k];
+    for (std::size_t d = 0; d < resume->deltas.size(); ++d) {
+      const std::string round = ckpt::encode_round(resume->deltas[d]);
+      if (damage == Damage::kDuplicated) {
+        EXPECT_NE(std::find(all_rounds.begin(), all_rounds.end(), round),
+                  all_rounds.end())
+            << "case " << i;
+      } else {
+        ASSERT_LT(d, after.size()) << "case " << i;
+        EXPECT_EQ(round, after[d]) << "case " << i;
+      }
+    }
+    if (i == 0) {
+      EXPECT_EQ(k + 1, healthy.states.size());
+      EXPECT_TRUE(resume->deltas.empty());
+    }
+  }
+  (void)testing::internal::GetCapturedStderr();
+  fs::remove_all(root);
+  // Cold starts, fallbacks and clean loads are all exercised.
+  EXPECT_GT(cold, 0);
+  EXPECT_GT(fell_back, 0);
+  EXPECT_LT(cold + fell_back, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz, ::testing::Values(31, 32, 33));
 
 }  // namespace
 }  // namespace lcda

@@ -11,6 +11,7 @@
 #include "lcda/core/scenario.h"
 #include "lcda/core/report.h"
 #include "lcda/noise/write_verify.h"
+#include "lcda/util/strings.h"
 
 namespace {
 
@@ -301,6 +302,24 @@ TEST(StudyFingerprint, SeparatesStudies) {
   core::ExperimentConfig batched = base;
   batched.batch_size = 4;  // batch composition can shape proposal streams
   EXPECT_NE(fp, core::study_fingerprint(batched, core::Strategy::kLcda, 20));
+}
+
+TEST(StudyFingerprint, NamesTheV1CacheFixtureFiles) {
+  // tests/golden/eval_cache_v1/ holds the paper-energy LCDA study's v1
+  // flat-JSON cache, one file per seed, named by this fingerprint: the
+  // store's v1 migration finds those files only while the formula still
+  // reproduces the names (config fields added later must stay out of it).
+  const core::Scenario scenario = core::scenario_by_name("paper-energy");
+  std::vector<std::string> names;
+  for (std::uint64_t s = 0; s < 2; ++s) {
+    core::ExperimentConfig config = scenario.config;
+    config.seed = scenario.config.seed + s;  // lcda_run --seeds=2
+    names.push_back(util::hex_u64(core::study_fingerprint(
+        config, core::Strategy::kLcda,
+        core::default_episodes(core::Strategy::kLcda, config))));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"283cc86d1565fcdb",
+                                             "6a54beaee269d722"}));
 }
 
 // ------------------------------------------------ fingerprint namespaces

@@ -44,10 +44,10 @@
 //                          --set space.conv_layers=4 --set objective=latency
 //   --cache-dir=PATH       enable the on-disk evaluation store
 //   --checkpoint-dir=DIR   enable crash-resumable checkpoints: each run
-//                          snapshots its full engine state (optimizer
+//                          journals its engine state (optimizer
 //                          internals, RNG cursors, trace, cache log) under
-//                          DIR/<study fingerprint> and appends a per-round
-//                          changelog between snapshots. Trace-invariant:
+//                          DIR/<study fingerprint>: a record per round,
+//                          delta snapshots between them. Trace-invariant:
 //                          output is byte-identical with or without it
 //   --checkpoint-every=N   episodes between snapshots (default 64; requires
 //                          --checkpoint-dir or a scenario checkpoint_dir)
