@@ -53,6 +53,19 @@ struct MergedRun {
   long long persistent_save_failures = 0;
 };
 
+/// One runs-mode manifest entry, the worker's record of one run: the full
+/// run JSON (merged documents embed it verbatim, so the assembled
+/// experiment JSON matches a single-process run byte-for-byte), the run's
+/// CSV rows for --trace concatenation, and the scalars the per-run summary
+/// lines print.
+[[nodiscard]] util::Json run_entry(int seed, const std::string& label,
+                                   const core::RunResult& run);
+
+/// The MergedRun a runs-mode entry decodes to. lcda_run's in-process runs
+/// mode builds its records through run_entry + merged_run too, so both
+/// execution paths print and write the same bytes.
+[[nodiscard]] MergedRun merged_run(const util::Json& entry);
+
 /// Reassembles runs-mode payloads in canonical order — study-major (the
 /// planner's strategy order via study_slot), seeds ascending — the order
 /// the single-process CLI produces its runs in. `specs` is the full plan

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "lcda/core/report.h"
 #include "lcda/util/strings.h"
 
 namespace lcda::dist {
@@ -192,6 +193,47 @@ std::vector<core::SpeedupReport> merge_speedup(
   return out;
 }
 
+util::Json run_entry(int seed, const std::string& label,
+                     const core::RunResult& run) {
+  util::Json e = util::Json::object();
+  e["seed"] = seed;
+  e["label"] = label;
+  e["best_reward"] = run.best_reward();
+  e["best_episode"] = run.best_episode;
+  e["best_design"] = run.best().design.describe();
+  e["cache_hits"] = static_cast<long long>(run.cache_hits);
+  e["cache_misses"] = static_cast<long long>(run.cache_misses);
+  e["persistent_hits"] = static_cast<long long>(run.persistent_hits);
+  e["persistent_shared_hits"] =
+      static_cast<long long>(run.persistent_shared_hits);
+  e["persistent_skipped"] = static_cast<long long>(run.persistent_skipped);
+  e["persistent_save_failures"] =
+      static_cast<long long>(run.persistent_save_failures);
+  e["run"] = core::run_to_json(run, label);
+  std::ostringstream csv;
+  core::write_run_csv(csv, run, label);
+  e["csv"] = csv.str();
+  return e;
+}
+
+MergedRun merged_run(const util::Json& entry) {
+  MergedRun run;
+  run.seed = static_cast<int>(entry.at("seed").as_int());
+  run.label = entry.at("label").as_string();
+  run.run_json = entry.at("run");
+  run.csv = entry.at("csv").as_string();
+  run.best_reward = entry.at("best_reward").as_double();
+  run.best_episode = static_cast<int>(entry.at("best_episode").as_int());
+  run.best_design = entry.at("best_design").as_string();
+  run.cache_hits = entry.at("cache_hits").as_int();
+  run.cache_misses = entry.at("cache_misses").as_int();
+  run.persistent_hits = entry.at("persistent_hits").as_int();
+  run.persistent_shared_hits = entry.at("persistent_shared_hits").as_int();
+  run.persistent_skipped = entry.at("persistent_skipped").as_int();
+  run.persistent_save_failures = entry.at("persistent_save_failures").as_int();
+  return run;
+}
+
 std::vector<MergedRun> merge_runs(const std::vector<ShardSpec>& specs,
                                   const std::vector<util::Json>& manifests) {
   if (specs.size() != manifests.size()) {
@@ -229,25 +271,7 @@ std::vector<MergedRun> merge_runs(const std::vector<ShardSpec>& specs,
     }
     const auto by_seed =
         entries_by_seed(specs, manifests, group, head.total_seeds);
-    for (const auto& [seed, entry] : by_seed) {
-      MergedRun run;
-      run.seed = seed;
-      run.label = entry.at("label").as_string();
-      run.run_json = entry.at("run");
-      run.csv = entry.at("csv").as_string();
-      run.best_reward = entry.at("best_reward").as_double();
-      run.best_episode = static_cast<int>(entry.at("best_episode").as_int());
-      run.best_design = entry.at("best_design").as_string();
-      run.cache_hits = entry.at("cache_hits").as_int();
-      run.cache_misses = entry.at("cache_misses").as_int();
-      run.persistent_hits = entry.at("persistent_hits").as_int();
-      run.persistent_shared_hits =
-          entry.at("persistent_shared_hits").as_int();
-      run.persistent_skipped = entry.at("persistent_skipped").as_int();
-      run.persistent_save_failures =
-          entry.at("persistent_save_failures").as_int();
-      out.push_back(std::move(run));
-    }
+    for (const auto& by : by_seed) out.push_back(merged_run(by.second));
   }
   return out;
 }

@@ -21,6 +21,7 @@
 
 #include "lcda/core/report.h"
 #include "lcda/core/stats_runner.h"
+#include "lcda/dist/merge.h"
 #include "lcda/dist/progress.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/dist/shard.h"
@@ -72,33 +73,6 @@ util::Json speedup_entry(int seed, const core::SpeedupReport& r) {
   e["nacim_episodes"] = r.nacim_episodes;
   e["lcda_best"] = r.lcda_best;
   e["nacim_best"] = r.nacim_best;
-  return e;
-}
-
-/// One runs-mode payload: the full run JSON (merged documents embed it
-/// verbatim, so the assembled experiment JSON matches a single-process
-/// run byte-for-byte), the run's CSV rows for --trace concatenation, and
-/// the scalars the coordinator's per-run summary lines print.
-util::Json run_entry(int seed, const std::string& label,
-                     const core::RunResult& run) {
-  util::Json e = util::Json::object();
-  e["seed"] = seed;
-  e["label"] = label;
-  e["best_reward"] = run.best_reward();
-  e["best_episode"] = run.best_episode;
-  e["best_design"] = run.best().design.describe();
-  e["cache_hits"] = static_cast<long long>(run.cache_hits);
-  e["cache_misses"] = static_cast<long long>(run.cache_misses);
-  e["persistent_hits"] = static_cast<long long>(run.persistent_hits);
-  e["persistent_shared_hits"] =
-      static_cast<long long>(run.persistent_shared_hits);
-  e["persistent_skipped"] = static_cast<long long>(run.persistent_skipped);
-  e["persistent_save_failures"] =
-      static_cast<long long>(run.persistent_save_failures);
-  e["run"] = core::run_to_json(run, label);
-  std::ostringstream csv;
-  core::write_run_csv(csv, run, label);
-  e["csv"] = csv.str();
   return e;
 }
 

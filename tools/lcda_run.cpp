@@ -15,7 +15,8 @@
 //   lcda_run --scenario=paper-energy --speedup --seeds=4 --trace=speedup.csv
 //   lcda_run --scenario=paper-energy --aggregate --seeds=8 --distribute=2
 //
-// Flags:
+// Flags (kFlags below is the authoritative table; a flag that another mode
+// would silently ignore is rejected instead):
 //   --list                 list registered scenarios and exit
 //   --print-config         dump the resolved scenario as JSON and exit
 //   --scenario=NAME        registry scenario (see --list)
@@ -29,15 +30,19 @@
 //                          per-seed episode listing (core::run_aggregate):
 //                          running-best mean/stddev across seeds, final-best
 //                          statistics, cache traffic. --seeds sets the seed
-//                          count; --threshold=R also reports episodes-to-R
+//                          count; --threshold=R also reports episodes-to-R.
+//                          Not with --speedup
 //   --speedup              paired LCDA-vs-NACIM episodes-to-threshold study
 //                          (core::speedup_study) over --seeds seeds;
 //                          --threshold-fraction=F sets the "comparable
 //                          solution" bar (default 0.95 of NACIM's best)
 //   --threshold=R          reward threshold for --aggregate's
-//                          episodes-to-threshold statistic
-//   --threshold-fraction=F speedup threshold fraction (--speedup only)
-//   --episodes=N           override the per-strategy episode budget
+//                          episodes-to-threshold statistic (requires
+//                          --aggregate)
+//   --threshold-fraction=F speedup threshold fraction (requires --speedup)
+//   --episodes=N           override the per-strategy episode budget (not
+//                          with --speedup, which takes its budgets from
+//                          --set lcda_episodes=N / --set nacim_episodes=N)
 //   --seeds=N              seeds per strategy (base, base+1, ...; default 1)
 //   --seed=K               override the base seed
 //   --set key=value        dotted-path config override (repeatable), e.g.
@@ -56,6 +61,8 @@
 //                          this way produces byte-identical final JSON and
 //                          trace CSV. Falls back to a cold start (with a
 //                          warning) when no usable checkpoint exists
+//                          (requires --checkpoint-dir or a scenario
+//                          checkpoint_dir)
 //   --parallelism=N        worker threads (default: LCDA_PARALLELISM, else 1;
 //                          0 = one per hardware thread); traces are
 //                          bit-identical for every setting
@@ -109,14 +116,15 @@
 //                          when it stops)
 //   --quiet                suppress the per-episode listing
 //
-// Store maintenance (act on --cache-dir=DIR and exit):
+// Store maintenance (act on --cache-dir=DIR, which both require, and exit):
 //   --store-compact        merge segments into fresh index buckets, dedupe
 //                          republished records, drop corrupt ones
 //                          (skip-and-count) and enforce the budget
 //                          oldest-first; safe while readers/writers are
 //                          live. --store-buckets=N sets the index shard
 //                          count (default 16); --store-max-entries=N /
-//                          --store-max-bytes=N apply a budget
+//                          --store-max-bytes=N apply a budget (all three
+//                          require --store-compact)
 //   --store-fsck           verify every segment and index bucket (headers,
 //                          per-record checksums, sort order); exits
 //                          nonzero when any damage is found
@@ -130,8 +138,11 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "lcda/core/report.h"
@@ -170,7 +181,7 @@ struct CliOptions {
   std::string strategies;
   std::string cache_dir;
   std::string checkpoint_dir;
-  long long checkpoint_every = 0;  // 0 = scenario default
+  int checkpoint_every = 0;     // 0 = scenario default
   bool resume = false;
   std::string json_path;
   std::string trace_path;
@@ -180,9 +191,9 @@ struct CliOptions {
   std::string shard_dir;        // --distribute: where shard files live
   bool store_compact = false;   // store maintenance modes (need --cache-dir)
   bool store_fsck = false;
-  long long store_buckets = 16;
-  long long store_max_entries = 0;
-  long long store_max_bytes = 0;
+  std::size_t store_buckets = 16;
+  std::size_t store_max_entries = 0;
+  std::size_t store_max_bytes = 0;
   bool worker_loop = false;     // internal --worker-loop mode
   std::vector<std::string> overrides;
   int episodes = 0;  // 0 = scenario default
@@ -191,11 +202,9 @@ struct CliOptions {
   int parallelism = -1;         // -1 = environment default
   int distribute = 0;           // 0 = in-process; N = worker processes
   int max_retries = 2;          // per-shard retry budget (--distribute)
-  bool max_retries_set = false;
   bool keep_shard_dir = false;  // keep the auto temp shard dir
   bool no_steal = false;        // disable straggler work stealing
   double steal_threshold = 2.0; // stall bar (x median per-seed wall)
-  bool steal_threshold_set = false;
   double threshold = std::numeric_limits<double>::quiet_NaN();
   double threshold_fraction = 0.95;
 };
@@ -223,77 +232,183 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Strict double flag parsing, same loud-failure policy as
-/// parse_number_flag below.
-double parse_double_flag(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": \"" +
-                                value + "\" (want a finite number)");
-  }
-  return parsed;
-}
+/// Where a flag's value lands. The member's type picks the parse: a bool
+/// is a switch, a string takes =VALUE, an integer must be >= the row's
+/// `min`, a double must be finite (and pass the row's `accept`), and the
+/// vector collects every `--set key=value` / `--set=key=value`.
+using Field = std::variant<bool CliOptions::*, std::string CliOptions::*,
+                           int CliOptions::*, long long CliOptions::*,
+                           std::size_t CliOptions::*, double CliOptions::*,
+                           std::vector<std::string> CliOptions::*>;
 
-bool flag_value(std::string_view arg, std::string_view name, std::string& out) {
-  if (!util::starts_with(arg, name)) return false;
-  out = std::string(arg.substr(name.size()));
-  return true;
-}
-
-/// Strict numeric flag parsing: a typo or out-of-range value must fail
-/// loudly, not become 0 (which --parallelism would read as "use every
-/// hardware thread") or silently fall back to a default (which negative
-/// values would, via the unset sentinels).
-long long parse_number_flag(const std::string& value, const char* flag,
-                            long long min_value) {
-  const auto parsed = util::parse_int(value);
-  if (!parsed || *parsed < min_value) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": \"" +
-                                value + "\" (want an integer >= " +
-                                std::to_string(min_value) + ")");
-  }
-  return *parsed;
-}
-
-/// Opens the --trace destination: `path` as a file, or stdout for "-".
-/// Returns the stream to write to, or nullptr after printing an error.
-struct TraceOut {
-  std::ofstream file;
-  std::ostream* stream = nullptr;
+/// One row of the flag table. `needs` names a flag that must also be
+/// given, or with a leading '!' one that must not be; `hint` replaces the
+/// default "X requires Y" / "X and Y are exclusive" message. Rows are
+/// checked in table order, so the first broken rule is the one reported.
+/// Integers must be >= `min`; a double may also have to pass `accept`,
+/// and `want` says what that asks for.
+struct Flag {
+  std::string_view name;
+  Field field;
+  std::string_view needs = {};
+  std::string_view hint = {};
+  long long min = 0;
+  bool (*accept)(double) = nullptr;
+  std::string_view want = {};
 };
-bool open_trace(const std::string& path, TraceOut& out) {
-  if (path == "-") {
-    out.stream = &std::cout;
-    return true;
-  }
-  out.file.open(path, std::ios::trunc);
-  if (!out.file) {
-    std::fprintf(stderr, "lcda_run: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out.stream = &out.file;
-  return true;
+
+constexpr std::string_view kDistributeOnly =
+    "--shard-dir / --max-retries / --keep-shard-dir / --no-steal / "
+    "--steal-threshold require --distribute";
+constexpr std::string_view kCacheDirOnly =
+    "--store-compact/--store-fsck require --cache-dir=DIR";
+
+using O = CliOptions;
+const Flag kFlags[] = {
+    {"--list", &O::list},
+    {"--print-config", &O::print_config},
+    {"--aggregate", &O::aggregate, "!--speedup"},
+    {"--speedup", &O::speedup, "!--threshold",
+     "--threshold applies to --aggregate; --speedup takes --threshold-fraction"},
+    {"--threshold", &O::threshold, "--aggregate"},
+    {"--threshold-fraction", &O::threshold_fraction, "--speedup"},
+    {"--episodes", &O::episodes, "!--speedup",
+     "--speedup uses the scenario's episode budgets; override them with "
+     "--set lcda_episodes=N / --set nacim_episodes=N instead of --episodes",
+     1},
+    {"--scenario", &O::scenario},
+    {"--scenario-file", &O::scenario_file},
+    {"--scenario-dir", &O::scenario_dir},
+    {"--strategy", &O::strategies},
+    {"--seeds", &O::seeds, {}, {}, 1},
+    {"--seed", &O::seed},
+    {"--set", &O::overrides},
+    {"--cache-dir", &O::cache_dir},
+    {"--checkpoint-dir", &O::checkpoint_dir},
+    {"--checkpoint-every", &O::checkpoint_every, {}, {}, 1},
+    {"--resume", &O::resume},
+    {"--parallelism", &O::parallelism},
+    {"--distribute", &O::distribute, {}, {}, 1},
+    {"--max-retries", &O::max_retries, "--distribute", kDistributeOnly},
+    {"--shard-dir", &O::shard_dir, "--distribute", kDistributeOnly},
+    {"--keep-shard-dir", &O::keep_shard_dir, "--distribute", kDistributeOnly},
+    {"--no-steal", &O::no_steal, "--distribute", kDistributeOnly},
+    {"--steal-threshold", &O::steal_threshold, "--distribute", kDistributeOnly,
+     0, [](double k) { return k >= 1.0; }, "a number >= 1"},
+    {"--worker-loop", &O::worker_loop},
+    {"--json", &O::json_path},
+    {"--trace", &O::trace_path},
+    {"--trace-spans", &O::trace_spans},
+    {"--metrics-out", &O::metrics_out},
+    {"--metrics-interval", &O::metrics_interval, {}, {}, 0,
+     [](double sec) { return sec > 0.0; }, "seconds > 0"},
+    {"--quiet", &O::quiet},
+    {"--store-compact", &O::store_compact, "--cache-dir", kCacheDirOnly},
+    {"--store-fsck", &O::store_fsck, "--cache-dir", kCacheDirOnly},
+    {"--store-buckets", &O::store_buckets, "--store-compact", {}, 1},
+    {"--store-max-entries", &O::store_max_entries, "--store-compact"},
+    {"--store-max-bytes", &O::store_max_bytes, "--store-compact"},
+};
+
+/// Stores `value` into the row's field. A typo or out-of-range value must
+/// fail loudly, not become 0 (which --parallelism would read as "use every
+/// hardware thread") or silently fall back to a default.
+void set_field(const Flag& flag, const std::string& value, CliOptions& cli) {
+  const auto bad = [&](std::string_view want) {
+    return std::invalid_argument("bad value for " + std::string(flag.name) +
+                                 ": \"" + value + "\" (want " +
+                                 std::string(want) + ")");
+  };
+  std::visit(
+      [&](auto member) {
+        auto& field = cli.*member;
+        using T = std::remove_reference_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          field = true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          field = value;
+        } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+          field.push_back(value);
+        } else if constexpr (std::is_same_v<T, double>) {
+          char* end = nullptr;
+          field = std::strtod(value.c_str(), &end);
+          if (end == value.c_str() || *end != '\0' || !std::isfinite(field)) {
+            throw bad("a finite number");
+          }
+          if (flag.accept != nullptr && !flag.accept(field)) throw bad(flag.want);
+        } else {
+          const auto parsed = util::parse_int(value);
+          if (!parsed || *parsed < flag.min) {
+            throw bad("an integer >= " + std::to_string(flag.min));
+          }
+          field = static_cast<T>(*parsed);
+        }
+      },
+      flag.field);
 }
 
-std::vector<core::Strategy> resolve_strategies(const std::string& spec,
-                                               core::Strategy fallback) {
-  if (spec.empty()) return {fallback};
-  if (util::to_lower(spec) == "all") return core::all_strategies();
-  std::vector<core::Strategy> out;
-  for (const std::string& name : util::split(spec, ',')) {
-    out.push_back(core::strategy_from_name(util::trim(name)));
+/// Parses argv through kFlags, then checks every given flag's `needs`.
+/// Returns 0 when the command line is usable, else the exit status after
+/// reporting why. Bad values throw.
+int parse_args(int argc, char** argv, CliOptions& cli) {
+  std::set<std::string_view> given;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if (f.name == arg.substr(0, eq)) flag = &f;
+    }
+    const bool is_switch =
+        flag != nullptr && std::holds_alternative<bool O::*>(flag->field);
+    const bool bare = eq == std::string_view::npos;
+    std::string value;
+    if (flag != nullptr && !is_switch && !bare) {
+      value = arg.substr(eq + 1);
+    } else if (flag != nullptr && flag->name == "--set" && bare &&
+               i + 1 < argc) {
+      value = argv[++i];  // "--set key=value" takes the next argument
+    } else if (flag == nullptr || !is_switch || !bare) {
+      std::fprintf(stderr, "lcda_run: unknown argument \"%s\"\n",
+                   std::string(arg).c_str());
+      return usage(argv[0]);
+    }
+    set_field(*flag, value, cli);
+    given.insert(flag->name);
   }
-  return out;
+  for (const Flag& flag : kFlags) {
+    if (flag.needs.empty() || given.count(flag.name) == 0) continue;
+    const bool exclusive = flag.needs.front() == '!';
+    const std::string other(flag.needs.substr(exclusive ? 1 : 0));
+    if ((given.count(other) != 0) != exclusive) continue;
+    const std::string rule = exclusive ? " and " + other + " are exclusive"
+                                       : " requires " + other;
+    std::fprintf(stderr, "lcda_run: %s\n",
+                 flag.hint.empty() ? (std::string(flag.name) + rule).c_str()
+                                   : std::string(flag.hint).c_str());
+    return usage(argv[0]);
+  }
+  return 0;
 }
 
-/// Per-strategy episode budgets, resolved once so the in-process and
-/// distributed paths can never disagree on them.
+/// The --strategy list ("all" sweeps every strategy) with per-strategy
+/// episode budgets, resolved once so the in-process and distributed paths
+/// can never disagree on them. The speedup study has no strategy axis and
+/// takes both budgets from the config: one entry.
 std::vector<dist::StrategyStudy> resolve_studies(
     const CliOptions& cli, const core::Scenario& scenario,
-    const std::vector<core::Strategy>& strategies) {
+    dist::ShardMode mode) {
+  if (mode == dist::ShardMode::kSpeedup) return {{core::Strategy::kLcda, 0}};
+  std::vector<core::Strategy> strategies = {scenario.default_strategy};
+  if (util::to_lower(cli.strategies) == "all") {
+    strategies = core::all_strategies();
+  } else if (!cli.strategies.empty()) {
+    strategies.clear();
+    for (const std::string& name : util::split(cli.strategies, ',')) {
+      strategies.push_back(core::strategy_from_name(util::trim(name)));
+    }
+  }
   std::vector<dist::StrategyStudy> studies;
-  studies.reserve(strategies.size());
   for (core::Strategy strategy : strategies) {
     const int episodes =
         cli.episodes > 0 ? cli.episodes
@@ -326,23 +441,6 @@ struct DistributedStudy {
   /// is cleaned up: one (shard index, export_chrome document) pair per
   /// successful attempt that ran with --trace-spans.
   std::vector<std::pair<int, util::Json>> trace_docs;
-
-  /// The shards study entry `k` owns. Plan order used to make this a
-  /// contiguous range; work stealing appends specs out of order, so
-  /// select by the study_slot tag the planner stamped (and steals
-  /// inherit).
-  [[nodiscard]] std::pair<std::vector<dist::ShardSpec>,
-                          std::vector<util::Json>>
-  study_slice(std::size_t k) const {
-    std::pair<std::vector<dist::ShardSpec>, std::vector<util::Json>> slice;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].study_slot == static_cast<int>(k)) {
-        slice.first.push_back(specs[i]);
-        slice.second.push_back(manifests[i]);
-      }
-    }
-    return slice;
-  }
 };
 
 /// The "dist" object distributed --json documents carry: study-level
@@ -379,12 +477,10 @@ util::Json dist_stats_to_json(const DistributedStudy& study) {
   }
   j["shards"] = shards;
   util::Json store = util::Json::object();
-  store["hits"] = study.obs.counter("store.hits");
-  store["misses"] = study.obs.counter("store.misses");
-  store["shared_hits"] = study.obs.counter("store.shared_hits");
-  store["shared_misses"] = study.obs.counter("store.shared_misses");
-  store["bytes_read"] = study.obs.counter("store.bytes_read");
-  store["bytes_published"] = study.obs.counter("store.bytes_published");
+  for (const char* key : {"hits", "misses", "shared_hits", "shared_misses",
+                          "bytes_read", "bytes_published"}) {
+    store[key] = study.obs.counter(std::string("store.") + key);
+  }
   j["store"] = store;
   j["resumed_episodes"] = study.obs.counter("engine.resumed_episodes");
   // Everything below is append-only: existing consumers index the keys
@@ -413,6 +509,15 @@ DistributedStudy run_distributed(const CliOptions& cli,
                      .string()
                : cli.shard_dir;
   const bool cleanup = auto_dir && !cli.keep_shard_dir;
+  const auto release_shard_dir = [&] {
+    std::error_code ec;
+    if (cleanup) {
+      fs::remove_all(shard_dir, ec);
+    } else if (auto_dir) {
+      std::fprintf(stderr, "lcda_run: shard dir kept at %s\n",
+                   shard_dir.c_str());
+    }
+  };
 
   DistributedStudy study;
   study.specs =
@@ -471,21 +576,10 @@ DistributedStudy run_distributed(const CliOptions& cli,
       }
     }
   } catch (...) {
-    std::error_code ec;
-    if (cleanup) {
-      fs::remove_all(shard_dir, ec);
-    } else if (auto_dir) {
-      std::fprintf(stderr, "lcda_run: shard dir kept at %s\n",
-                   shard_dir.c_str());
-    }
+    release_shard_dir();
     throw;
   }
-  if (cleanup) {
-    std::error_code ec;
-    fs::remove_all(shard_dir, ec);
-  } else if (auto_dir) {
-    std::fprintf(stderr, "lcda_run: shard dir kept at %s\n", shard_dir.c_str());
-  }
+  release_shard_dir();
 
   // One greppable scheduling summary per distributed run (bench_record.sh
   // and humans read it; byte-diffed outputs never include stderr). Store
@@ -542,94 +636,207 @@ void write_observability(const CliOptions& cli, const DistributedStudy* study) {
   }
 }
 
+/// What one study produced, whichever way it ran: the records of its mode
+/// (runs, aggregates or speedup reports) and, with --distribute, the
+/// distributed study they were merged from.
+struct Outcome {
+  std::vector<dist::MergedRun> runs;
+  std::vector<core::AggregateResult> aggregates;
+  std::vector<core::SpeedupReport> reports;
+  std::optional<DistributedStudy> distributed;
+  /// In-process only: each run's episodes for the listing (empty with
+  /// --quiet) and the episodes restored from checkpoints.
+  std::vector<std::vector<core::EpisodeRecord>> listings;
+  long long resumed_episodes = 0;
+};
+
+/// Executes the study: in this process, or sharded across worker
+/// processes with the manifests merged back into the records the
+/// in-process path would have produced, byte for byte. Runs-mode records
+/// go through the worker's own manifest entry on both paths.
+Outcome run_study(const CliOptions& cli, const core::Scenario& scenario,
+                  dist::ShardMode mode,
+                  const std::vector<dist::StrategyStudy>& studies,
+                  const char* argv0) {
+  Outcome out;
+  if (cli.distribute > 0) {
+    const DistributedStudy& d = out.distributed.emplace(
+        run_distributed(cli, scenario, mode, studies, argv0));
+    if (mode == dist::ShardMode::kRuns) {
+      out.runs = dist::merge_runs(d.specs, d.manifests);
+    } else if (mode == dist::ShardMode::kSpeedup) {
+      out.reports = dist::merge_speedup(d.specs, d.manifests);
+    } else {
+      // Work stealing appends specs out of plan order: select each
+      // study's shards by the study_slot the planner stamped.
+      for (int slot = 0; slot < static_cast<int>(studies.size()); ++slot) {
+        std::vector<dist::ShardSpec> specs;
+        std::vector<util::Json> manifests;
+        for (std::size_t i = 0; i < d.specs.size(); ++i) {
+          if (d.specs[i].study_slot != slot) continue;
+          specs.push_back(d.specs[i]);
+          manifests.push_back(d.manifests[i]);
+        }
+        out.aggregates.push_back(dist::merge_aggregate(specs, manifests));
+      }
+    }
+  } else if (mode == dist::ShardMode::kSpeedup) {
+    out.reports = core::speedup_study(scenario.config, cli.seeds,
+                                      cli.threshold_fraction);
+    for (const core::SpeedupReport& r : out.reports) {
+      out.resumed_episodes += r.resumed_episodes;
+    }
+  } else if (mode == dist::ShardMode::kAggregate) {
+    for (const dist::StrategyStudy& study : studies) {
+      out.aggregates.push_back(core::run_aggregate(
+          study.strategy, study.episodes, cli.seeds, scenario.config,
+          cli.threshold));
+      out.resumed_episodes += out.aggregates.back().resumed_episodes;
+    }
+  } else {
+    for (const dist::StrategyStudy& study : studies) {
+      for (int s = 0; s < cli.seeds; ++s) {
+        core::ExperimentConfig config = scenario.config;
+        config.seed += static_cast<std::uint64_t>(s);
+        const core::RunResult run =
+            core::run_strategy(study.strategy, study.episodes, config);
+        const std::string label =
+            std::string(core::strategy_name(study.strategy)) + "/seed" +
+            std::to_string(config.seed);
+        out.runs.push_back(dist::merged_run(dist::run_entry(s, label, run)));
+        if (!cli.quiet) out.listings.push_back(run.episodes);
+        out.resumed_episodes += run.resumed_episodes;
+      }
+    }
+  }
+  return out;
+}
+
+/// Prints the study's summary, then writes --trace, --json and the
+/// observability artifacts. The one output path of every mode: quiet
+/// stdout, the trace and the JSON (but for "dist") cannot tell how the
+/// study ran.
+int emit(const CliOptions& cli, const core::Scenario& scenario,
+         dist::ShardMode mode, const Outcome& out, std::FILE* human) {
+  if (!out.distributed && !scenario.config.checkpoint_dir.empty()) {
+    std::fprintf(stderr, "[ckpt] %s: resumed_episodes=%lld\n",
+                 std::string(dist::shard_mode_name(mode)).c_str(),
+                 out.resumed_episodes);
+  }
+  util::Json doc = util::Json::object();
+  doc["experiment"] = scenario.name;
+  doc["seed"] = static_cast<long long>(scenario.config.seed);
+  // --trace=- writes the CSV to stdout (narration then went to stderr).
+  std::ofstream trace_file;
+  std::ostream* trace = cli.trace_path == "-" ? &std::cout : nullptr;
+  if (!cli.trace_path.empty() && trace == nullptr) {
+    trace_file.open(cli.trace_path, std::ios::trunc);
+    if (!trace_file) {
+      std::fprintf(stderr, "lcda_run: cannot write %s\n", cli.trace_path.c_str());
+      return 1;
+    }
+    trace = &trace_file;
+  }
+
+  if (mode == dist::ShardMode::kRuns) {
+    util::Json runs = util::Json::array();
+    for (std::size_t i = 0; i < out.runs.size(); ++i) {
+      const dist::MergedRun& run = out.runs[i];
+      std::fprintf(human, "\n== %s (%lld episodes) ==\n", run.label.c_str(),
+                   run.run_json.at("episodes").as_int());
+      if (i < out.listings.size()) {
+        for (const core::EpisodeRecord& ep : out.listings[i]) {
+          std::fprintf(human,
+                       "  ep %3d  reward %+8.3f  acc %.3f  E %10.4g pJ  "
+                       "L %10.4g ns  %s%s\n",
+                       ep.episode, ep.reward, ep.accuracy, ep.energy_pj,
+                       ep.latency_ns, ep.design.rollout_text().c_str(),
+                       ep.valid ? "" : "  [invalid]");
+        }
+      }
+      std::fprintf(human, "best reward %+0.4f at episode %d (%s)\n",
+                   run.best_reward, run.best_episode, run.best_design.c_str());
+      std::fprintf(human,
+                   "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
+                   run.cache_hits, run.cache_misses, run.persistent_hits,
+                   shared_hits_suffix(run.persistent_shared_hits).c_str());
+      if (trace != nullptr) *trace << run.csv;
+      runs.push_back(run.run_json);
+    }
+    doc["runs"] = runs;
+  } else if (mode == dist::ShardMode::kAggregate) {
+    std::fprintf(human, "%-14s %8s %8s %10s %10s %10s %10s\n", "strategy",
+                 "episodes", "seeds", "best mean", "stddev", "min", "max");
+    util::Json aggregates = util::Json::array();
+    for (const core::AggregateResult& agg : out.aggregates) {
+      std::fprintf(human, "%-14s %8d %8d %10.4f %10.4f %10.4f %10.4f\n",
+                   std::string(core::strategy_name(agg.strategy)).c_str(),
+                   agg.episodes, agg.seeds, agg.final_best.mean(),
+                   agg.final_best.stddev(), agg.final_best.min(),
+                   agg.final_best.max());
+      if (!std::isnan(agg.threshold)) {
+        std::fprintf(human,
+                     "  threshold %+0.4f: %d/%d seeds reached, "
+                     "mean %.1f episodes\n",
+                     agg.threshold, agg.reached, agg.seeds,
+                     agg.episodes_to_threshold.mean());
+      }
+      std::fprintf(human, "  cache: %lld hits, %lld misses, %lld persistent%s\n",
+                   static_cast<long long>(agg.cache_hits),
+                   static_cast<long long>(agg.cache_misses),
+                   static_cast<long long>(agg.persistent_hits),
+                   shared_hits_suffix(agg.persistent_shared_hits).c_str());
+      if (trace != nullptr) {
+        core::write_aggregate_csv(*trace, agg,
+                                  core::strategy_name(agg.strategy));
+      }
+      aggregates.push_back(core::aggregate_to_json(agg));
+    }
+    doc["seeds"] = cli.seeds;
+    doc["aggregates"] = aggregates;
+  } else {
+    std::fprintf(human, "%-6s %12s %10s %10s %10s %10s\n", "seed",
+                 "threshold", "lcda eps", "nacim eps", "nacim best",
+                 "speedup");
+    util::OnlineStats speedups;
+    for (std::size_t s = 0; s < out.reports.size(); ++s) {
+      const core::SpeedupReport& r = out.reports[s];
+      std::fprintf(human, "%-6zu %12.4f %10d %10d %10.4f %9.1fx\n", s,
+                   r.threshold, r.lcda_episodes, r.nacim_episodes,
+                   r.nacim_best, r.speedup());
+      if (r.speedup() > 0.0) speedups.add(r.speedup());
+    }
+    if (speedups.count() > 0) {
+      std::fprintf(human, "mean speedup over %zu seed(s): %.1fx\n",
+                   speedups.count(), speedups.mean());
+    }
+    if (trace != nullptr) {
+      core::write_speedup_csv(*trace, out.reports, scenario.name);
+    }
+    doc["speedup_study"] = core::speedup_study_to_json(out.reports);
+  }
+
+  if (!cli.json_path.empty()) {
+    doc["scenario"] = core::scenario_to_json(scenario);
+    if (out.distributed) doc["dist"] = dist_stats_to_json(*out.distributed);
+    core::write_json_file(doc, cli.json_path);
+    std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
+  }
+  write_observability(cli, out.distributed ? &*out.distributed : nullptr);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      std::string value;
-      if (arg == "--list") cli.list = true;
-      else if (arg == "--print-config") cli.print_config = true;
-      else if (arg == "--quiet") cli.quiet = true;
-      else if (arg == "--aggregate") cli.aggregate = true;
-      else if (arg == "--speedup") cli.speedup = true;
-      else if (flag_value(arg, "--scenario-file=", cli.scenario_file)) {}
-      else if (flag_value(arg, "--scenario-dir=", cli.scenario_dir)) {}
-      else if (flag_value(arg, "--scenario=", cli.scenario)) {}
-      else if (flag_value(arg, "--strategy=", cli.strategies)) {}
-      else if (flag_value(arg, "--cache-dir=", cli.cache_dir)) {}
-      else if (flag_value(arg, "--checkpoint-dir=", cli.checkpoint_dir)) {}
-      else if (flag_value(arg, "--checkpoint-every=", value)) {
-        cli.checkpoint_every = parse_number_flag(value, "--checkpoint-every", 1);
-      }
-      else if (arg == "--resume") cli.resume = true;
-      else if (arg == "--store-compact") cli.store_compact = true;
-      else if (arg == "--store-fsck") cli.store_fsck = true;
-      else if (flag_value(arg, "--store-buckets=", value)) {
-        cli.store_buckets = parse_number_flag(value, "--store-buckets", 1);
-      } else if (flag_value(arg, "--store-max-entries=", value)) {
-        cli.store_max_entries = parse_number_flag(value, "--store-max-entries", 0);
-      } else if (flag_value(arg, "--store-max-bytes=", value)) {
-        cli.store_max_bytes = parse_number_flag(value, "--store-max-bytes", 0);
-      }
-      else if (flag_value(arg, "--json=", cli.json_path)) {}
-      else if (flag_value(arg, "--trace-spans=", cli.trace_spans)) {}
-      else if (flag_value(arg, "--trace=", cli.trace_path)) {}
-      else if (flag_value(arg, "--metrics-out=", cli.metrics_out)) {}
-      else if (flag_value(arg, "--metrics-interval=", value)) {
-        cli.metrics_interval = parse_double_flag(value, "--metrics-interval");
-        if (cli.metrics_interval <= 0.0) {
-          throw std::invalid_argument("bad value for --metrics-interval: \"" +
-                                      value + "\" (want seconds > 0)");
-        }
-      }
-      else if (flag_value(arg, "--shard-dir=", cli.shard_dir)) {}
-      else if (arg == "--keep-shard-dir") cli.keep_shard_dir = true;
-      else if (arg == "--no-steal") cli.no_steal = true;
-      else if (flag_value(arg, "--steal-threshold=", value)) {
-        cli.steal_threshold = parse_double_flag(value, "--steal-threshold");
-        if (cli.steal_threshold < 1.0) {
-          throw std::invalid_argument(
-              "bad value for --steal-threshold: \"" + value +
-              "\" (want a number >= 1)");
-        }
-        cli.steal_threshold_set = true;
-      }
-      else if (arg == "--worker-loop") cli.worker_loop = true;
-      else if (arg == "--set" && i + 1 < argc) cli.overrides.emplace_back(argv[++i]);
-      else if (flag_value(arg, "--set=", value)) cli.overrides.push_back(value);
-      else if (flag_value(arg, "--episodes=", value)) {
-        cli.episodes = static_cast<int>(parse_number_flag(value, "--episodes", 1));
-      } else if (flag_value(arg, "--seeds=", value)) {
-        cli.seeds = static_cast<int>(parse_number_flag(value, "--seeds", 1));
-      } else if (flag_value(arg, "--seed=", value)) {
-        cli.seed = parse_number_flag(value, "--seed", 0);
-      } else if (flag_value(arg, "--parallelism=", value)) {
-        cli.parallelism = static_cast<int>(parse_number_flag(value, "--parallelism", 0));
-      } else if (flag_value(arg, "--distribute=", value)) {
-        cli.distribute = static_cast<int>(parse_number_flag(value, "--distribute", 1));
-      } else if (flag_value(arg, "--max-retries=", value)) {
-        cli.max_retries = static_cast<int>(parse_number_flag(value, "--max-retries", 0));
-        cli.max_retries_set = true;
-      } else if (flag_value(arg, "--threshold-fraction=", value)) {
-        cli.threshold_fraction = parse_double_flag(value, "--threshold-fraction");
-      } else if (flag_value(arg, "--threshold=", value)) {
-        cli.threshold = parse_double_flag(value, "--threshold");
-      } else {
-        std::fprintf(stderr, "lcda_run: unknown argument \"%s\"\n",
-                     std::string(arg).c_str());
-        return usage(argv[0]);
-      }
-    }
+    if (const int status = parse_args(argc, argv, cli)) return status;
 
     // Internal worker mode: --worker-loop stays resident and executes
     // specs dispatched over stdin until `shutdown` or EOF. Everything a
     // shard needs travels in its spec file, so no other flag applies.
-    if (cli.worker_loop) {
-      return dist::run_worker_loop();
-    }
+    if (cli.worker_loop) return dist::run_worker_loop();
 
     // Arm observability before any worker thread exists: the enabled
     // flags are plain bools, written single-threaded here and only read
@@ -646,36 +853,28 @@ int main(int argc, char** argv) {
     if (cli.metrics_interval > 0.0) reporter.emplace(cli.metrics_interval);
 
     // Store maintenance modes: act on the store directory and exit.
+    if (cli.store_compact) {
+      const store::CompactionReport rep = store::compact_store(
+          cli.cache_dir, {cli.store_max_entries, cli.store_max_bytes},
+          cli.store_buckets);
+      std::printf(
+          "store-compact %s: %zu files merged (%zu unreadable dropped), "
+          "%zu records kept, %zu duplicates dropped, %zu corrupt dropped, "
+          "%zu evicted\n",
+          cli.cache_dir.c_str(), rep.input_files, rep.skipped_files,
+          rep.records_kept, rep.duplicates_dropped, rep.corrupt_dropped,
+          rep.evicted);
+    }
+    if (cli.store_fsck) {
+      const store::FsckReport rep = store::fsck(cli.cache_dir);
+      std::printf(
+          "store-fsck %s: %zu files, %zu records ok, %zu bad files, "
+          "%zu bad records -> %s\n",
+          cli.cache_dir.c_str(), rep.files, rep.records, rep.bad_files,
+          rep.bad_records, rep.clean() ? "clean" : "DAMAGED");
+      if (!rep.clean()) return 1;
+    }
     if (cli.store_compact || cli.store_fsck) {
-      if (cli.cache_dir.empty()) {
-        std::fprintf(stderr,
-                     "lcda_run: --store-compact/--store-fsck require "
-                     "--cache-dir=DIR\n");
-        return 2;
-      }
-      if (cli.store_compact) {
-        const lcda::store::Budget budget{
-            static_cast<std::size_t>(cli.store_max_entries),
-            static_cast<std::size_t>(cli.store_max_bytes)};
-        const lcda::store::CompactionReport rep = lcda::store::compact_store(
-            cli.cache_dir, budget, static_cast<std::size_t>(cli.store_buckets));
-        std::printf(
-            "store-compact %s: %zu files merged (%zu unreadable dropped), "
-            "%zu records kept, %zu duplicates dropped, %zu corrupt dropped, "
-            "%zu evicted\n",
-            cli.cache_dir.c_str(), rep.input_files, rep.skipped_files,
-            rep.records_kept, rep.duplicates_dropped, rep.corrupt_dropped,
-            rep.evicted);
-      }
-      if (cli.store_fsck) {
-        const lcda::store::FsckReport rep = lcda::store::fsck(cli.cache_dir);
-        std::printf(
-            "store-fsck %s: %zu files, %zu records ok, %zu bad files, "
-            "%zu bad records -> %s\n",
-            cli.cache_dir.c_str(), rep.files, rep.records, rep.bad_files,
-            rep.bad_records, rep.clean() ? "clean" : "DAMAGED");
-        if (!rep.clean()) return 1;
-      }
       write_observability(cli, nullptr);
       return 0;
     }
@@ -711,22 +910,19 @@ int main(int argc, char** argv) {
                                   ? core::scenario_by_name(cli.scenario)
                                   : core::load_scenario(cli.scenario_file);
 
-    for (const std::string& kv : cli.overrides) {
-      core::apply_override(scenario.config, kv);
-    }
-    if (cli.seed >= 0) scenario.config.seed = static_cast<std::uint64_t>(cli.seed);
-    scenario.config.parallelism =
+    core::ExperimentConfig& config = scenario.config;
+    for (const std::string& kv : cli.overrides) core::apply_override(config, kv);
+    if (cli.seed >= 0) config.seed = static_cast<std::uint64_t>(cli.seed);
+    config.parallelism =
         cli.parallelism >= 0 ? cli.parallelism : core::env_parallelism();
-    if (!cli.cache_dir.empty()) scenario.config.persistent_cache_dir = cli.cache_dir;
-    if (!cli.checkpoint_dir.empty()) {
-      scenario.config.checkpoint_dir = cli.checkpoint_dir;
-    }
-    if (cli.checkpoint_every > 0) {
-      scenario.config.checkpoint_every = static_cast<int>(cli.checkpoint_every);
-    }
-    if (cli.resume) scenario.config.resume = true;
+    if (!cli.cache_dir.empty()) config.persistent_cache_dir = cli.cache_dir;
+    if (!cli.checkpoint_dir.empty()) config.checkpoint_dir = cli.checkpoint_dir;
+    if (cli.checkpoint_every > 0) config.checkpoint_every = cli.checkpoint_every;
+    if (cli.resume) config.resume = true;
+    // The one rule the flag table cannot hold: a scenario's own
+    // checkpoint_dir satisfies it as well as --checkpoint-dir.
     if ((cli.checkpoint_every > 0 || cli.resume) &&
-        scenario.config.checkpoint_dir.empty()) {
+        config.checkpoint_dir.empty()) {
       std::fprintf(stderr,
                    "lcda_run: --checkpoint-every/--resume require "
                    "--checkpoint-dir (or a scenario checkpoint_dir)\n");
@@ -737,312 +933,21 @@ int main(int argc, char** argv) {
       std::printf("%s\n", core::scenario_to_json(scenario).dump(2).c_str());
       return 0;
     }
-    if (cli.seeds <= 0) {
-      std::fprintf(stderr, "lcda_run: --seeds must be >= 1\n");
-      return 2;
-    }
 
-    if (cli.aggregate && cli.speedup) {
-      std::fprintf(stderr, "lcda_run: --aggregate and --speedup are exclusive\n");
-      return usage(argv[0]);
-    }
-    // Flags another mode would silently ignore must fail loudly instead.
-    if (cli.speedup && cli.episodes > 0) {
-      std::fprintf(stderr,
-                   "lcda_run: --speedup uses the scenario's episode budgets; "
-                   "override them with --set lcda_episodes=N / "
-                   "--set nacim_episodes=N instead of --episodes\n");
-      return usage(argv[0]);
-    }
-    if (cli.speedup && !std::isnan(cli.threshold)) {
-      std::fprintf(stderr,
-                   "lcda_run: --threshold applies to --aggregate; --speedup "
-                   "takes --threshold-fraction\n");
-      return usage(argv[0]);
-    }
-    if (!cli.speedup && cli.threshold_fraction != 0.95) {
-      std::fprintf(stderr, "lcda_run: --threshold-fraction requires --speedup\n");
-      return usage(argv[0]);
-    }
-    if (!cli.aggregate && !std::isnan(cli.threshold)) {
-      std::fprintf(stderr, "lcda_run: --threshold requires --aggregate\n");
-      return usage(argv[0]);
-    }
-    if (cli.distribute == 0 &&
-        (!cli.shard_dir.empty() || cli.max_retries_set || cli.keep_shard_dir ||
-         cli.no_steal || cli.steal_threshold_set)) {
-      std::fprintf(stderr,
-                   "lcda_run: --shard-dir / --max-retries / --keep-shard-dir "
-                   "/ --no-steal / --steal-threshold require --distribute\n");
-      return usage(argv[0]);
-    }
-
-    const std::vector<core::Strategy> strategies =
-        resolve_strategies(cli.strategies, scenario.default_strategy);
+    const dist::ShardMode mode = cli.aggregate ? dist::ShardMode::kAggregate
+                                 : cli.speedup ? dist::ShardMode::kSpeedup
+                                               : dist::ShardMode::kRuns;
+    const std::vector<dist::StrategyStudy> studies =
+        resolve_studies(cli, scenario, mode);
 
     std::fprintf(human, "# scenario %s: %s\n", scenario.name.c_str(),
                  scenario.summary.c_str());
     std::fprintf(human, "# parallelism %d, base seed %llu\n",
-                 scenario.config.parallelism,
-                 static_cast<unsigned long long>(scenario.config.seed));
+                 config.parallelism,
+                 static_cast<unsigned long long>(config.seed));
 
-    // --- multi-seed aggregate mode (SpeedupReport/AggregateResult were
-    // engine-only until now; this surfaces them through the CLI) ---------
-    if (cli.aggregate) {
-      const std::vector<dist::StrategyStudy> studies =
-          resolve_studies(cli, scenario, strategies);
-      std::vector<core::AggregateResult> aggregates;
-      util::Json dist_stats;
-      std::optional<DistributedStudy> dstudy;
-      if (cli.distribute > 0) {
-        // Shard across worker processes and fold the manifests back; the
-        // merged aggregates are byte-identical to the in-process branch.
-        dstudy.emplace(run_distributed(cli, scenario,
-                                       dist::ShardMode::kAggregate, studies,
-                                       argv[0]));
-        dist_stats = dist_stats_to_json(*dstudy);
-        for (std::size_t k = 0; k < studies.size(); ++k) {
-          const auto [specs, manifests] = dstudy->study_slice(k);
-          aggregates.push_back(dist::merge_aggregate(specs, manifests));
-        }
-      } else {
-        for (const dist::StrategyStudy& s : studies) {
-          aggregates.push_back(core::run_aggregate(s.strategy, s.episodes,
-                                                   cli.seeds, scenario.config,
-                                                   cli.threshold));
-        }
-        if (!scenario.config.checkpoint_dir.empty()) {
-          long long resumed = 0;
-          for (const core::AggregateResult& agg : aggregates)
-            resumed += agg.resumed_episodes;
-          std::fprintf(stderr, "[ckpt] aggregate: resumed_episodes=%lld\n",
-                       resumed);
-        }
-      }
-
-      std::fprintf(human, "%-14s %8s %8s %10s %10s %10s %10s\n", "strategy",
-                   "episodes", "seeds", "best mean", "stddev", "min", "max");
-      for (const core::AggregateResult& agg : aggregates) {
-        std::fprintf(human, "%-14s %8d %8d %10.4f %10.4f %10.4f %10.4f\n",
-                     std::string(core::strategy_name(agg.strategy)).c_str(),
-                     agg.episodes, agg.seeds, agg.final_best.mean(),
-                     agg.final_best.stddev(), agg.final_best.min(),
-                     agg.final_best.max());
-        if (!std::isnan(cli.threshold)) {
-          std::fprintf(human,
-                       "  threshold %+0.4f: %d/%d seeds reached, "
-                       "mean %.1f episodes\n",
-                       cli.threshold, agg.reached, agg.seeds,
-                       agg.episodes_to_threshold.mean());
-        }
-        std::fprintf(human, "  cache: %lld hits, %lld misses, %lld persistent%s\n",
-                     static_cast<long long>(agg.cache_hits),
-                     static_cast<long long>(agg.cache_misses),
-                     static_cast<long long>(agg.persistent_hits),
-                     shared_hits_suffix(agg.persistent_shared_hits).c_str());
-      }
-
-      if (!cli.trace_path.empty()) {
-        TraceOut trace;
-        if (!open_trace(cli.trace_path, trace)) return 1;
-        for (const core::AggregateResult& agg : aggregates) {
-          core::write_aggregate_csv(*trace.stream, agg,
-                                    core::strategy_name(agg.strategy));
-        }
-      }
-      if (!cli.json_path.empty()) {
-        util::Json doc = util::Json::object();
-        doc["experiment"] = scenario.name;
-        doc["seed"] = static_cast<long long>(scenario.config.seed);
-        doc["seeds"] = cli.seeds;
-        util::Json arr = util::Json::array();
-        for (const core::AggregateResult& agg : aggregates) {
-          arr.push_back(core::aggregate_to_json(agg));
-        }
-        doc["aggregates"] = arr;
-        doc["scenario"] = core::scenario_to_json(scenario);
-        if (cli.distribute > 0) doc["dist"] = dist_stats;
-        core::write_json_file(doc, cli.json_path);
-        std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-      }
-      write_observability(cli, dstudy ? &*dstudy : nullptr);
-      return 0;
-    }
-
-    // --- paired LCDA-vs-NACIM speedup study -----------------------------
-    if (cli.speedup) {
-      std::vector<core::SpeedupReport> reports;
-      util::Json dist_stats;
-      std::optional<DistributedStudy> dstudy;
-      if (cli.distribute > 0) {
-        // The speedup study has no strategy axis: one plan over the seeds.
-        dstudy.emplace(run_distributed(cli, scenario, dist::ShardMode::kSpeedup,
-                                       {{core::Strategy::kLcda, 0}}, argv[0]));
-        dist_stats = dist_stats_to_json(*dstudy);
-        reports = dist::merge_speedup(dstudy->specs, dstudy->manifests);
-      } else {
-        reports = core::speedup_study(scenario.config, cli.seeds,
-                                      cli.threshold_fraction);
-        if (!scenario.config.checkpoint_dir.empty()) {
-          long long resumed = 0;
-          for (const core::SpeedupReport& r : reports)
-            resumed += r.resumed_episodes;
-          std::fprintf(stderr, "[ckpt] speedup: resumed_episodes=%lld\n",
-                       resumed);
-        }
-      }
-      std::fprintf(human, "%-6s %12s %10s %10s %10s %10s\n", "seed",
-                   "threshold", "lcda eps", "nacim eps", "nacim best",
-                   "speedup");
-      util::OnlineStats speedups;
-      for (std::size_t s = 0; s < reports.size(); ++s) {
-        const core::SpeedupReport& r = reports[s];
-        std::fprintf(human, "%-6zu %12.4f %10d %10d %10.4f %9.1fx\n", s,
-                     r.threshold, r.lcda_episodes, r.nacim_episodes,
-                     r.nacim_best, r.speedup());
-        if (r.speedup() > 0.0) speedups.add(r.speedup());
-      }
-      if (speedups.count() > 0) {
-        std::fprintf(human, "mean speedup over %zu seed(s): %.1fx\n",
-                     speedups.count(), speedups.mean());
-      }
-
-      if (!cli.trace_path.empty()) {
-        TraceOut trace;
-        if (!open_trace(cli.trace_path, trace)) return 1;
-        core::write_speedup_csv(*trace.stream, reports, scenario.name);
-      }
-      if (!cli.json_path.empty()) {
-        util::Json doc = util::Json::object();
-        doc["experiment"] = scenario.name;
-        doc["seed"] = static_cast<long long>(scenario.config.seed);
-        doc["speedup_study"] = core::speedup_study_to_json(reports);
-        doc["scenario"] = core::scenario_to_json(scenario);
-        if (cli.distribute > 0) doc["dist"] = dist_stats;
-        core::write_json_file(doc, cli.json_path);
-        std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-      }
-      write_observability(cli, dstudy ? &*dstudy : nullptr);
-      return 0;
-    }
-
-    // --- per-seed runs, sharded across worker processes -----------------
-    if (cli.distribute > 0) {
-      const std::vector<dist::StrategyStudy> studies =
-          resolve_studies(cli, scenario, strategies);
-      const DistributedStudy study = run_distributed(
-          cli, scenario, dist::ShardMode::kRuns, studies, argv[0]);
-      const std::vector<dist::MergedRun> runs =
-          dist::merge_runs(study.specs, study.manifests);
-
-      // Per-episode listings stay inside the workers; the coordinator
-      // prints each run's summary (full traces flow through --json and
-      // --trace, byte-identical to a non-distributed run).
-      for (const dist::MergedRun& run : runs) {
-        std::fprintf(human, "\n== %s (%lld episodes) ==\n", run.label.c_str(),
-                     run.run_json.at("episodes").as_int());
-        std::fprintf(human, "best reward %+0.4f at episode %d (%s)\n",
-                     run.best_reward, run.best_episode,
-                     run.best_design.c_str());
-        std::fprintf(human,
-                     "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
-                     run.cache_hits, run.cache_misses, run.persistent_hits,
-                     shared_hits_suffix(run.persistent_shared_hits).c_str());
-      }
-
-      if (!cli.trace_path.empty()) {
-        TraceOut trace;
-        if (!open_trace(cli.trace_path, trace)) return 1;
-        for (const dist::MergedRun& run : runs) *trace.stream << run.csv;
-      }
-      if (!cli.json_path.empty()) {
-        // Same document shape as core::experiment_to_json, with each
-        // worker's run JSON embedded verbatim.
-        util::Json doc = util::Json::object();
-        doc["experiment"] = scenario.name;
-        doc["seed"] = static_cast<long long>(scenario.config.seed);
-        util::Json arr = util::Json::array();
-        for (const dist::MergedRun& run : runs) arr.push_back(run.run_json);
-        doc["runs"] = arr;
-        doc["scenario"] = core::scenario_to_json(scenario);
-        doc["dist"] = dist_stats_to_json(study);
-        core::write_json_file(doc, cli.json_path);
-        std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-      }
-      write_observability(cli, &study);
-      return 0;
-    }
-
-    struct Completed {
-      std::string label;
-      core::RunResult run;
-    };
-    std::vector<Completed> completed;
-
-    for (core::Strategy strategy : strategies) {
-      const int episodes =
-          cli.episodes > 0 ? cli.episodes
-                           : core::default_episodes(strategy, scenario.config);
-      for (int s = 0; s < cli.seeds; ++s) {
-        core::ExperimentConfig config = scenario.config;
-        config.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
-        const core::RunResult run =
-            core::run_strategy(strategy, episodes, config);
-
-        const std::string label = std::string(core::strategy_name(strategy)) +
-                                  "/seed" + std::to_string(config.seed);
-        std::fprintf(human, "\n== %s (%d episodes) ==\n", label.c_str(),
-                     episodes);
-        if (!cli.quiet) {
-          for (const auto& ep : run.episodes) {
-            std::fprintf(human,
-                         "  ep %3d  reward %+8.3f  acc %.3f  E %10.4g pJ  "
-                         "L %10.4g ns  %s%s\n",
-                         ep.episode, ep.reward, ep.accuracy, ep.energy_pj,
-                         ep.latency_ns, ep.design.rollout_text().c_str(),
-                         ep.valid ? "" : "  [invalid]");
-          }
-        }
-        std::fprintf(human, "best reward %+0.4f at episode %d (%s)\n",
-                     run.best_reward(), run.best_episode,
-                     run.best().design.describe().c_str());
-        std::fprintf(human,
-                     "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
-                     static_cast<long long>(run.cache_hits),
-                     static_cast<long long>(run.cache_misses),
-                     static_cast<long long>(run.persistent_hits),
-                     shared_hits_suffix(run.persistent_shared_hits).c_str());
-        if (!scenario.config.checkpoint_dir.empty()) {
-          std::fprintf(stderr, "[ckpt] %s: resumed_episodes=%lld/%d\n",
-                       label.c_str(),
-                       static_cast<long long>(run.resumed_episodes), episodes);
-        }
-        completed.push_back({label, run});
-      }
-    }
-
-    if (!cli.trace_path.empty()) {
-      TraceOut trace;
-      if (!open_trace(cli.trace_path, trace)) return 1;
-      for (const Completed& c : completed) {
-        core::write_run_csv(*trace.stream, c.run, c.label);
-      }
-    }
-
-    if (!cli.json_path.empty()) {
-      std::vector<core::LabelledRun> labelled;
-      labelled.reserve(completed.size());
-      for (const Completed& c : completed) {
-        labelled.push_back({c.label, &c.run});
-      }
-      util::Json doc = core::experiment_to_json(scenario.name,
-                                                scenario.config.seed, labelled);
-      doc["scenario"] = core::scenario_to_json(scenario);
-      core::write_json_file(doc, cli.json_path);
-      std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-    }
-    write_observability(cli, nullptr);
-    return 0;
+    return emit(cli, scenario, mode,
+                run_study(cli, scenario, mode, studies, argv[0]), human);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "lcda_run: %s\n", e.what());
     return 1;
