@@ -4,7 +4,9 @@
 // an uncontrolled LLM in production. The binary store segment decoder and
 // the checkpoint journal reader get seeded mutation fuzzing too: damaged
 // files must be rejected cleanly or serve only records whose checksum
-// verifies.
+// verifies. So do the decoders of what the distributed runner's processes
+// send each other: shard specs and worker command/reply lines must be
+// rejected cleanly or decode to a value that round-trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,16 +14,20 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "lcda/ckpt/checkpoint.h"
+#include "lcda/dist/protocol.h"
+#include "lcda/dist/shard.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt.h"
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/store/eval_store.h"
 #include "lcda/store/legacy_json.h"
 #include "lcda/store/segment.h"
+#include "lcda/util/json_lite.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
@@ -601,6 +607,206 @@ TEST_P(CheckpointFuzz, MutantsLoadNothingOrOnlyVerifiedRecords) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz, ::testing::Values(31, 32, 33));
+
+// ------------------------------- shard specs and the worker pipe protocol
+
+/// Real planner output in every mode, with the coordinator's bookkeeping
+/// fields filled in as a dispatched (and sometimes stolen) spec has them.
+std::vector<std::string> real_spec_documents() {
+  core::Scenario scenario = core::scenario_by_name("paper-energy");
+  scenario.config.lcda_episodes = 6;
+  std::vector<std::string> docs;
+  for (const dist::ShardMode mode :
+       {dist::ShardMode::kRuns, dist::ShardMode::kAggregate,
+        dist::ShardMode::kSpeedup}) {
+    const double threshold = mode == dist::ShardMode::kAggregate
+                                 ? 0.3
+                                 : std::numeric_limits<double>::quiet_NaN();
+    for (dist::ShardSpec spec : dist::plan_shards(
+             scenario, mode,
+             {{core::Strategy::kLcda, 6}, {core::Strategy::kGenetic, 4}}, 3,
+             2, threshold, 0.9)) {
+      spec.result_path = "/shards/shard-" + std::to_string(spec.index) + ".json";
+      spec.progress_path = spec.result_path + ".progress";
+      spec.revoke_path = spec.result_path + ".revoke";
+      spec.trace_path = spec.result_path + ".trace";
+      spec.heartbeat_ms = 50;
+      spec.stolen_from = spec.index == 1 ? 0 : -1;
+      spec.supersedes = spec.index == 1;
+      spec.attempt = spec.index;
+      docs.push_back(dist::shard_spec_to_json(spec).dump());
+    }
+  }
+  return docs;
+}
+
+util::Json random_json_value(util::Rng& rng) {
+  switch (rng.uniform_int(0, 6)) {
+    case 0: return util::Json(nullptr);
+    case 1: return util::Json(rng.chance(0.5));
+    case 2: return util::Json(static_cast<long long>(rng.uniform_int(-3, 3)));
+    case 3: return util::Json(rng.uniform(-1e12, 1e12));
+    case 4: return util::Json(std::string(rng.index(3), 'x'));
+    case 5: return util::Json::array();
+    default: return util::Json::object();
+  }
+}
+
+/// Replaces or drops one value somewhere in `j`, walking down through
+/// objects and arrays (the scenario, its config, the seed list).
+util::Json mutate_tree(util::Rng& rng, const util::Json& j) {
+  if (j.is_object() && j.size() > 0 && rng.chance(0.8)) {
+    const auto items = j.items();
+    const std::size_t pick = rng.index(items.size());
+    const bool drop = rng.chance(0.3);
+    util::Json out = util::Json::object();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i != pick) {
+        out[items[i].first] = items[i].second;
+      } else if (!drop) {
+        out[items[i].first] = mutate_tree(rng, items[i].second);
+      }
+    }
+    return out;
+  }
+  if (j.is_array() && j.size() > 0 && rng.chance(0.8)) {
+    const auto elements = j.elements();
+    const std::size_t pick = rng.index(elements.size());
+    util::Json out = util::Json::array();
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+      out.push_back(i == pick ? mutate_tree(rng, elements[i]) : elements[i]);
+    }
+    return out;
+  }
+  return random_json_value(rng);
+}
+
+/// Bit flips, truncation and inserted bytes on a serialized message.
+void mutate_text(util::Rng& rng, std::string& text) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 3));
+  for (int e = 0; e < edits && !text.empty(); ++e) {
+    switch (rng.uniform_int(0, 3)) {
+      default:
+        text[rng.index(text.size())] ^= static_cast<char>(1u << rng.index(8));
+        break;
+      case 2:
+        text.resize(rng.index(text.size()));
+        break;
+      case 3:
+        text.insert(rng.index(text.size() + 1), 1,
+                    "{}[]\":,0-e\\\n"[rng.index(12)]);
+        break;
+    }
+  }
+}
+
+class ShardSpecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ShardSpecFuzz, SpecsAreRejectedOrRoundTrip) {
+  util::Rng rng(GetParam());
+  const std::vector<std::string> docs = real_spec_documents();
+  int rejected = 0;
+  constexpr int kCases = 100;
+  for (int i = 0; i < kCases; ++i) {
+    std::string text = docs[rng.index(docs.size())];
+    if (i > 0 && rng.chance(0.5)) {
+      text = mutate_tree(rng, util::Json::parse(text)).dump();
+    } else if (i > 0) {
+      mutate_text(rng, text);
+    }
+    util::Json doc;
+    dist::ShardSpec spec;
+    try {
+      doc = util::Json::parse(text);
+      spec = dist::shard_spec_from_json(doc);
+    } catch (const std::exception&) {
+      ++rejected;
+      EXPECT_GT(i, 0) << "a real spec must decode";
+      continue;
+    } catch (...) {
+      ADD_FAILURE() << "case " << i << ": not a std::exception";
+      continue;
+    }
+    // A spec that decodes carries the checksum of its own body, and
+    // encoding it again reproduces the same document.
+    const util::Json again = dist::shard_spec_to_json(spec);
+    if (doc.contains("spec_checksum")) {
+      EXPECT_EQ(doc.at("spec_checksum").as_string(),
+                again.at("spec_checksum").as_string())
+          << "case " << i;
+    }
+    EXPECT_EQ(dist::shard_spec_to_json(dist::shard_spec_from_json(again)).dump(),
+              again.dump())
+        << "case " << i;
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(rejected, kCases / 4);
+  EXPECT_LT(rejected, kCases);
+}
+
+bool same_command(const dist::WorkerCommand& a, const dist::WorkerCommand& b) {
+  return a.kind == b.kind && a.spec_path == b.spec_path;
+}
+
+bool same_reply(const dist::WorkerReply& a, const dist::WorkerReply& b) {
+  return a.kind == b.kind && a.manifest_path == b.manifest_path &&
+         a.reason == b.reason;
+}
+
+TEST_P(ShardSpecFuzz, WorkerLinesAreRejectedOrRoundTrip) {
+  using Cmd = dist::WorkerCommand;
+  using Reply = dist::WorkerReply;
+  util::Rng rng(GetParam());
+  const std::vector<std::string> commands = {
+      dist::encode_worker_command({Cmd::Kind::kRun, "/shards/shard-0-spec.json"}),
+      dist::encode_worker_command({Cmd::Kind::kRun, "/odd \"dir\"\n/spec"}),
+      dist::encode_worker_command({Cmd::Kind::kPing, ""}),
+      dist::encode_worker_command({Cmd::Kind::kShutdown, ""})};
+  const std::vector<std::string> replies = {
+      dist::encode_worker_reply({Reply::Kind::kDone, "/shards/shard-0.json", ""}),
+      dist::encode_worker_reply({Reply::Kind::kFailed, "", "merge: seed 3 \t"}),
+      dist::encode_worker_reply({Reply::Kind::kFailed, "", ""}),
+      dist::encode_worker_reply({Reply::Kind::kPong, "", ""})};
+  int rejected = 0;
+  constexpr int kCases = 300;
+  for (int i = 0; i < kCases; ++i) {
+    const bool command = rng.chance(0.5);
+    std::string line = command ? commands[rng.index(commands.size())]
+                               : replies[rng.index(replies.size())];
+    if (i > 0 && rng.chance(0.5)) {
+      line = mutate_tree(rng, util::Json::parse(line)).dump();
+    } else if (i > 0) {
+      mutate_text(rng, line);
+    }
+    if (command) {
+      const std::optional<Cmd> cmd = dist::parse_worker_command(line);
+      if (!cmd) {
+        ++rejected;
+        continue;
+      }
+      const std::string encoded = dist::encode_worker_command(*cmd);
+      const std::optional<Cmd> back = dist::parse_worker_command(encoded);
+      ASSERT_TRUE(back.has_value()) << "case " << i << ": " << encoded;
+      EXPECT_TRUE(same_command(*back, *cmd)) << "case " << i;
+      EXPECT_EQ(dist::encode_worker_command(*back), encoded) << "case " << i;
+    } else {
+      const std::optional<Reply> reply = dist::parse_worker_reply(line);
+      if (!reply) {
+        ++rejected;
+        continue;
+      }
+      const std::string encoded = dist::encode_worker_reply(*reply);
+      const std::optional<Reply> back = dist::parse_worker_reply(encoded);
+      ASSERT_TRUE(back.has_value()) << "case " << i << ": " << encoded;
+      EXPECT_TRUE(same_reply(*back, *reply)) << "case " << i;
+      EXPECT_EQ(dist::encode_worker_reply(*back), encoded) << "case " << i;
+    }
+  }
+  EXPECT_GT(rejected, kCases / 4);
+  EXPECT_LT(rejected, kCases);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardSpecFuzz, ::testing::Values(41, 42, 43));
 
 }  // namespace
 }  // namespace lcda

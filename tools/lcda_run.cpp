@@ -726,17 +726,7 @@ int emit(const CliOptions& cli, const core::Scenario& scenario,
   util::Json doc = util::Json::object();
   doc["experiment"] = scenario.name;
   doc["seed"] = static_cast<long long>(scenario.config.seed);
-  // --trace=- writes the CSV to stdout (narration then went to stderr).
-  std::ofstream trace_file;
-  std::ostream* trace = cli.trace_path == "-" ? &std::cout : nullptr;
-  if (!cli.trace_path.empty() && trace == nullptr) {
-    trace_file.open(cli.trace_path, std::ios::trunc);
-    if (!trace_file) {
-      std::fprintf(stderr, "lcda_run: cannot write %s\n", cli.trace_path.c_str());
-      return 1;
-    }
-    trace = &trace_file;
-  }
+  std::ostringstream csv;  // the --trace rows, written after the summary
 
   if (mode == dist::ShardMode::kRuns) {
     util::Json runs = util::Json::array();
@@ -760,7 +750,7 @@ int emit(const CliOptions& cli, const core::Scenario& scenario,
                    "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
                    run.cache_hits, run.cache_misses, run.persistent_hits,
                    shared_hits_suffix(run.persistent_shared_hits).c_str());
-      if (trace != nullptr) *trace << run.csv;
+      csv << run.csv;
       runs.push_back(run.run_json);
     }
     doc["runs"] = runs;
@@ -786,10 +776,7 @@ int emit(const CliOptions& cli, const core::Scenario& scenario,
                    static_cast<long long>(agg.cache_misses),
                    static_cast<long long>(agg.persistent_hits),
                    shared_hits_suffix(agg.persistent_shared_hits).c_str());
-      if (trace != nullptr) {
-        core::write_aggregate_csv(*trace, agg,
-                                  core::strategy_name(agg.strategy));
-      }
+      core::write_aggregate_csv(csv, agg, core::strategy_name(agg.strategy));
       aggregates.push_back(core::aggregate_to_json(agg));
     }
     doc["seeds"] = cli.seeds;
@@ -810,12 +797,21 @@ int emit(const CliOptions& cli, const core::Scenario& scenario,
       std::fprintf(human, "mean speedup over %zu seed(s): %.1fx\n",
                    speedups.count(), speedups.mean());
     }
-    if (trace != nullptr) {
-      core::write_speedup_csv(*trace, out.reports, scenario.name);
-    }
+    core::write_speedup_csv(csv, out.reports, scenario.name);
     doc["speedup_study"] = core::speedup_study_to_json(out.reports);
   }
 
+  // --trace=- writes the CSV to stdout (narration then went to stderr).
+  if (cli.trace_path == "-") {
+    std::cout << csv.str();
+  } else if (!cli.trace_path.empty()) {
+    std::ofstream trace(cli.trace_path, std::ios::trunc);
+    if (!trace) {
+      std::fprintf(stderr, "lcda_run: cannot write %s\n", cli.trace_path.c_str());
+      return 1;
+    }
+    trace << csv.str();
+  }
   if (!cli.json_path.empty()) {
     doc["scenario"] = core::scenario_to_json(scenario);
     if (out.distributed) doc["dist"] = dist_stats_to_json(*out.distributed);
