@@ -87,14 +87,16 @@ TEST_P(CliRejects, WithStatusAndMessage) {
   const std::string runner = lcda_run_path();
   if (runner.empty()) GTEST_SKIP() << "lcda_run binary not next to the test";
   const Rejection& row = GetParam();
+  const std::string dir = temp_dir(row.name);
   std::vector<std::string> args = row.args;
   for (std::string& a : args) {
     // Directory arguments point at a per-row scratch directory.
-    if (a == "--cache-dir=@") a = "--cache-dir=" + temp_dir(row.name);
+    if (a == "--cache-dir=@") a = "--cache-dir=" + dir;
   }
   const CliResult r = run_cli(runner, args);
   EXPECT_EQ(r.exit_code, row.exit_code) << r.err;
   EXPECT_NE(r.err.find(row.message), std::string::npos) << r.err;
+  std::filesystem::remove_all(dir);
 }
 
 const std::string kPaper = "--scenario=paper-energy";
