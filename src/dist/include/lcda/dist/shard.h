@@ -103,7 +103,8 @@ struct ShardSpec {
 };
 
 /// ShardSpec <-> JSON (format "lcda-shard-spec-v1"). Round-trips every
-/// field; from_json rejects a missing/foreign format tag.
+/// field; from_json rejects a missing/foreign format tag and a missing or
+/// mismatched spec_checksum.
 [[nodiscard]] util::Json shard_spec_to_json(const ShardSpec& spec);
 [[nodiscard]] ShardSpec shard_spec_from_json(const util::Json& j);
 

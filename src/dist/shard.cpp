@@ -142,10 +142,12 @@ ShardSpec shard_spec_from_json(const util::Json& j) {
   spec.attempt = static_cast<int>(j.at("attempt").as_int());
   // A spec edited out from under its checksum must fail before it can
   // produce a manifest the merger would then reject more confusingly.
-  if (j.contains("spec_checksum") &&
+  // Every writer embeds the checksum, so a spec without one was edited too.
+  if (!j.contains("spec_checksum") ||
       j.at("spec_checksum").as_string() != hex64(shard_spec_checksum(spec))) {
     throw std::invalid_argument(
-        "shard_spec_from_json: spec_checksum does not match the spec body");
+        "shard_spec_from_json: spec_checksum is missing or does not match "
+        "the spec body");
   }
   return spec;
 }

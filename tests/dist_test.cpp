@@ -360,6 +360,13 @@ TEST(ShardSpec, TamperedSpecIsRejected) {
   util::Json j = dist::shard_spec_to_json(spec);
   j["episodes"] = 999;  // body no longer matches the embedded checksum
   EXPECT_THROW((void)dist::shard_spec_from_json(j), std::invalid_argument);
+  // Deleting the checksum along with the edit does not get it through.
+  util::Json stripped = util::Json::object();
+  for (const auto& [key, value] : j.items()) {
+    if (key != "spec_checksum") stripped[key] = value;
+  }
+  EXPECT_THROW((void)dist::shard_spec_from_json(stripped),
+               std::invalid_argument);
   EXPECT_THROW((void)dist::shard_spec_from_json(util::Json::parse("{}")),
                std::invalid_argument);
 }

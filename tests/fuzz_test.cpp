@@ -730,11 +730,10 @@ TEST_P(ShardSpecFuzz, SpecsAreRejectedOrRoundTrip) {
     // A spec that decodes carries the checksum of its own body, and
     // encoding it again reproduces the same document.
     const util::Json again = dist::shard_spec_to_json(spec);
-    if (doc.contains("spec_checksum")) {
-      EXPECT_EQ(doc.at("spec_checksum").as_string(),
-                again.at("spec_checksum").as_string())
-          << "case " << i;
-    }
+    ASSERT_TRUE(doc.contains("spec_checksum")) << "case " << i;
+    EXPECT_EQ(doc.at("spec_checksum").as_string(),
+              again.at("spec_checksum").as_string())
+        << "case " << i;
     EXPECT_EQ(dist::shard_spec_to_json(dist::shard_spec_from_json(again)).dump(),
               again.dump())
         << "case " << i;
