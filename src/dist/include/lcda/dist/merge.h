@@ -34,14 +34,15 @@ namespace lcda::dist {
     const std::vector<ShardSpec>& specs,
     const std::vector<util::Json>& manifests);
 
-/// One reassembled runs-mode run: the full run JSON (embedded verbatim in
-/// merged experiment documents), its trace CSV rows, and the scalars the
-/// coordinator's summary lines print.
+/// One runs-mode run as lcda_run prints and writes it: the full run JSON
+/// (embedded verbatim in merged experiment documents), its trace CSV rows,
+/// and the scalars the summary lines print.
 struct MergedRun {
   int seed = 0;
   std::string label;
-  util::Json run_json;
-  std::string csv;
+  util::Json run_json;  // null when built without it (no --json)
+  std::string csv;      // empty when built without it (no --trace)
+  long long episodes = 0;
   double best_reward = 0.0;
   int best_episode = -1;
   std::string best_design;
@@ -53,17 +54,17 @@ struct MergedRun {
   long long persistent_save_failures = 0;
 };
 
-/// One runs-mode manifest entry, the worker's record of one run: the full
-/// run JSON (merged documents embed it verbatim, so the assembled
-/// experiment JSON matches a single-process run byte-for-byte), the run's
-/// CSV rows for --trace concatenation, and the scalars the per-run summary
-/// lines print.
-[[nodiscard]] util::Json run_entry(int seed, const std::string& label,
-                                   const core::RunResult& run);
+/// The record of one finished run — the worker's and lcda_run's
+/// in-process runs mode's one builder, so both execution paths print and
+/// write the same bytes. The run JSON and CSV rows cost O(episodes) each;
+/// `with_json` / `with_csv` leave them out when nothing will write them.
+[[nodiscard]] MergedRun run_record(int seed, const std::string& label,
+                                   const core::RunResult& run,
+                                   bool with_json = true, bool with_csv = true);
 
-/// The MergedRun a runs-mode entry decodes to. lcda_run's in-process runs
-/// mode builds its records through run_entry + merged_run too, so both
-/// execution paths print and write the same bytes.
+/// A full run record as one runs-mode manifest entry (the worker's), and
+/// back. merged_run(run_entry(r)) equals `r`.
+[[nodiscard]] util::Json run_entry(MergedRun run);
 [[nodiscard]] MergedRun merged_run(const util::Json& entry);
 
 /// Reassembles runs-mode payloads in canonical order — study-major (the

@@ -193,26 +193,47 @@ std::vector<core::SpeedupReport> merge_speedup(
   return out;
 }
 
-util::Json run_entry(int seed, const std::string& label,
-                     const core::RunResult& run) {
-  util::Json e = util::Json::object();
-  e["seed"] = seed;
-  e["label"] = label;
-  e["best_reward"] = run.best_reward();
-  e["best_episode"] = run.best_episode;
-  e["best_design"] = run.best().design.describe();
-  e["cache_hits"] = static_cast<long long>(run.cache_hits);
-  e["cache_misses"] = static_cast<long long>(run.cache_misses);
-  e["persistent_hits"] = static_cast<long long>(run.persistent_hits);
-  e["persistent_shared_hits"] =
-      static_cast<long long>(run.persistent_shared_hits);
-  e["persistent_skipped"] = static_cast<long long>(run.persistent_skipped);
-  e["persistent_save_failures"] =
+MergedRun run_record(int seed, const std::string& label,
+                     const core::RunResult& run, bool with_json,
+                     bool with_csv) {
+  MergedRun r;
+  r.seed = seed;
+  r.label = label;
+  if (with_json) r.run_json = core::run_to_json(run, label);
+  if (with_csv) {
+    std::ostringstream csv;
+    core::write_run_csv(csv, run, label);
+    r.csv = std::move(csv).str();
+  }
+  r.episodes = static_cast<long long>(run.episodes.size());
+  r.best_reward = run.best_reward();
+  r.best_episode = run.best_episode;
+  r.best_design = run.best().design.describe();
+  r.cache_hits = static_cast<long long>(run.cache_hits);
+  r.cache_misses = static_cast<long long>(run.cache_misses);
+  r.persistent_hits = static_cast<long long>(run.persistent_hits);
+  r.persistent_shared_hits = static_cast<long long>(run.persistent_shared_hits);
+  r.persistent_skipped = static_cast<long long>(run.persistent_skipped);
+  r.persistent_save_failures =
       static_cast<long long>(run.persistent_save_failures);
-  e["run"] = core::run_to_json(run, label);
-  std::ostringstream csv;
-  core::write_run_csv(csv, run, label);
-  e["csv"] = csv.str();
+  return r;
+}
+
+util::Json run_entry(MergedRun run) {
+  util::Json e = util::Json::object();
+  e["seed"] = run.seed;
+  e["label"] = run.label;
+  e["best_reward"] = run.best_reward;
+  e["best_episode"] = run.best_episode;
+  e["best_design"] = run.best_design;
+  e["cache_hits"] = run.cache_hits;
+  e["cache_misses"] = run.cache_misses;
+  e["persistent_hits"] = run.persistent_hits;
+  e["persistent_shared_hits"] = run.persistent_shared_hits;
+  e["persistent_skipped"] = run.persistent_skipped;
+  e["persistent_save_failures"] = run.persistent_save_failures;
+  e["run"] = std::move(run.run_json);
+  e["csv"] = std::move(run.csv);
   return e;
 }
 
@@ -222,6 +243,7 @@ MergedRun merged_run(const util::Json& entry) {
   run.label = entry.at("label").as_string();
   run.run_json = entry.at("run");
   run.csv = entry.at("csv").as_string();
+  run.episodes = run.run_json.at("episodes").as_int();
   run.best_reward = entry.at("best_reward").as_double();
   run.best_episode = static_cast<int>(entry.at("best_episode").as_int());
   run.best_design = entry.at("best_design").as_string();

@@ -231,7 +231,7 @@ util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
             std::to_string(cfg.seed);
         store_total += run.store;
         resumed_total += run.resumed_episodes;
-        entries.push_back(run_entry(s, label, run));
+        entries.push_back(run_entry(run_record(s, label, run)));
       });
       break;
     }

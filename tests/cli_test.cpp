@@ -129,6 +129,12 @@ INSTANTIATE_TEST_SUITE_P(
                   "unknown scenario"},
         Rejection{"unknown_override", {kPaper, "--set", "bogus.key=1"}, 1,
                   "unknown key \"bogus.key\""},
+        Rejection{"unknown_strategy", {kPaper, "--strategy=lcda,nosuch"}, 1,
+                  "unknown strategy \"nosuch\""},
+        // The speedup study ignores the list, but still parses it.
+        Rejection{"speedup_unknown_strategy",
+                  {kPaper, "--speedup", "--strategy=nosuch"}, 1,
+                  "unknown strategy \"nosuch\""},
         // Usage errors (exit 2).
         Rejection{"unknown_flag", {kPaper, "--bogus"}, 2,
                   "unknown argument \"--bogus\""},
@@ -171,6 +177,13 @@ INSTANTIATE_TEST_SUITE_P(
                   "--store-compact/--store-fsck require --cache-dir=DIR"},
         Rejection{"store_fsck_no_cache_dir", {"--store-fsck"}, 2,
                   "--store-compact/--store-fsck require --cache-dir=DIR"},
+        // An empty directory (an unset $DIR in a script) is no directory:
+        // compacting "" would rewrite /index and /segments.
+        Rejection{"store_compact_empty_cache_dir",
+                  {"--cache-dir=", "--store-compact"}, 2,
+                  "--store-compact/--store-fsck require --cache-dir=DIR"},
+        Rejection{"store_fsck_empty_cache_dir", {"--cache-dir=", "--store-fsck"},
+                  2, "--store-compact/--store-fsck require --cache-dir=DIR"},
         Rejection{"store_buckets_without_compact",
                   {"--cache-dir=@", "--store-fsck", "--store-buckets=4"}, 2,
                   "--store-buckets requires --store-compact"},
@@ -234,6 +247,13 @@ INSTANTIATE_TEST_SUITE_P(
                    {kPaper, "--speedup", "--seeds=2", "--threshold-fraction=0.9",
                     "--set", "lcda_episodes=6", "--set", "nacim_episodes=12"},
                    "mean speedup over"},
+        Acceptance{"speedup_strategy",
+                   {kPaper, "--speedup", "--strategy=lcda", "--set",
+                    "lcda_episodes=4", "--set", "nacim_episodes=8"},
+                   "speedup"},
+        Acceptance{"empty_shard_dir_without_distribute",
+                   {kPaper, "--episodes=3", "--quiet", "--shard-dir="},
+                   "(3 episodes)"},
         Acceptance{"distribute_flags",
                    {kPaper, "--episodes=3", "--quiet", "--distribute=1",
                     "--max-retries=0", "--no-steal", "--steal-threshold=3",

@@ -245,6 +245,9 @@ using Field = std::variant<bool CliOptions::*, std::string CliOptions::*,
 /// given, or with a leading '!' one that must not be; `hint` replaces the
 /// default "X requires Y" / "X and Y are exclusive" message. Rows are
 /// checked in table order, so the first broken rule is the one reported.
+/// A string flag with an empty value ("--cache-dir=", an unset $DIR in a
+/// script) counts as not given: it sets nothing the program acts on, so it
+/// can neither satisfy a rule nor break one.
 /// Integers must be >= `min`; a double may also have to pass `accept`,
 /// and `want` says what that asks for.
 struct Flag {
@@ -374,7 +377,7 @@ int parse_args(int argc, char** argv, CliOptions& cli) {
       return usage(argv[0]);
     }
     set_field(*flag, value, cli);
-    given.insert(flag->name);
+    if (is_switch || !value.empty()) given.insert(flag->name);
   }
   for (const Flag& flag : kFlags) {
     if (flag.needs.empty() || given.count(flag.name) == 0) continue;
@@ -394,11 +397,11 @@ int parse_args(int argc, char** argv, CliOptions& cli) {
 /// The --strategy list ("all" sweeps every strategy) with per-strategy
 /// episode budgets, resolved once so the in-process and distributed paths
 /// can never disagree on them. The speedup study has no strategy axis and
-/// takes both budgets from the config: one entry.
+/// takes both budgets from the config: one entry (the list is still
+/// parsed, so a misspelt strategy fails in every mode).
 std::vector<dist::StrategyStudy> resolve_studies(
     const CliOptions& cli, const core::Scenario& scenario,
     dist::ShardMode mode) {
-  if (mode == dist::ShardMode::kSpeedup) return {{core::Strategy::kLcda, 0}};
   std::vector<core::Strategy> strategies = {scenario.default_strategy};
   if (util::to_lower(cli.strategies) == "all") {
     strategies = core::all_strategies();
@@ -408,6 +411,7 @@ std::vector<dist::StrategyStudy> resolve_studies(
       strategies.push_back(core::strategy_from_name(util::trim(name)));
     }
   }
+  if (mode == dist::ShardMode::kSpeedup) return {{core::Strategy::kLcda, 0}};
   std::vector<dist::StrategyStudy> studies;
   for (core::Strategy strategy : strategies) {
     const int episodes =
@@ -698,13 +702,15 @@ Outcome run_study(const CliOptions& cli, const core::Scenario& scenario,
       for (int s = 0; s < cli.seeds; ++s) {
         core::ExperimentConfig config = scenario.config;
         config.seed += static_cast<std::uint64_t>(s);
-        const core::RunResult run =
+        core::RunResult run =
             core::run_strategy(study.strategy, study.episodes, config);
         const std::string label =
             std::string(core::strategy_name(study.strategy)) + "/seed" +
             std::to_string(config.seed);
-        out.runs.push_back(dist::merged_run(dist::run_entry(s, label, run)));
-        if (!cli.quiet) out.listings.push_back(run.episodes);
+        out.runs.push_back(dist::run_record(s, label, run,
+                                            !cli.json_path.empty(),
+                                            !cli.trace_path.empty()));
+        if (!cli.quiet) out.listings.push_back(std::move(run.episodes));
         out.resumed_episodes += run.resumed_episodes;
       }
     }
@@ -715,9 +721,10 @@ Outcome run_study(const CliOptions& cli, const core::Scenario& scenario,
 /// Prints the study's summary, then writes --trace, --json and the
 /// observability artifacts. The one output path of every mode: quiet
 /// stdout, the trace and the JSON (but for "dist") cannot tell how the
-/// study ran.
+/// study ran. Consumes `out`: each run's JSON moves into the document
+/// instead of being copied.
 int emit(const CliOptions& cli, const core::Scenario& scenario,
-         dist::ShardMode mode, const Outcome& out, std::FILE* human) {
+         dist::ShardMode mode, Outcome out, std::FILE* human) {
   if (!out.distributed && !scenario.config.checkpoint_dir.empty()) {
     std::fprintf(stderr, "[ckpt] %s: resumed_episodes=%lld\n",
                  std::string(dist::shard_mode_name(mode)).c_str(),
@@ -726,14 +733,16 @@ int emit(const CliOptions& cli, const core::Scenario& scenario,
   util::Json doc = util::Json::object();
   doc["experiment"] = scenario.name;
   doc["seed"] = static_cast<long long>(scenario.config.seed);
-  std::ostringstream csv;  // the --trace rows, written after the summary
+  // The --trace rows, written after the summary; runs mode's stay in
+  // their records until then.
+  std::ostringstream csv;
 
   if (mode == dist::ShardMode::kRuns) {
     util::Json runs = util::Json::array();
     for (std::size_t i = 0; i < out.runs.size(); ++i) {
-      const dist::MergedRun& run = out.runs[i];
+      dist::MergedRun& run = out.runs[i];
       std::fprintf(human, "\n== %s (%lld episodes) ==\n", run.label.c_str(),
-                   run.run_json.at("episodes").as_int());
+                   run.episodes);
       if (i < out.listings.size()) {
         for (const core::EpisodeRecord& ep : out.listings[i]) {
           std::fprintf(human,
@@ -750,8 +759,7 @@ int emit(const CliOptions& cli, const core::Scenario& scenario,
                    "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
                    run.cache_hits, run.cache_misses, run.persistent_hits,
                    shared_hits_suffix(run.persistent_shared_hits).c_str());
-      csv << run.csv;
-      runs.push_back(run.run_json);
+      runs.push_back(std::move(run.run_json));
     }
     doc["runs"] = runs;
   } else if (mode == dist::ShardMode::kAggregate) {
@@ -802,15 +810,19 @@ int emit(const CliOptions& cli, const core::Scenario& scenario,
   }
 
   // --trace=- writes the CSV to stdout (narration then went to stderr).
-  if (cli.trace_path == "-") {
-    std::cout << csv.str();
-  } else if (!cli.trace_path.empty()) {
-    std::ofstream trace(cli.trace_path, std::ios::trunc);
-    if (!trace) {
-      std::fprintf(stderr, "lcda_run: cannot write %s\n", cli.trace_path.c_str());
-      return 1;
+  if (!cli.trace_path.empty()) {
+    std::ofstream file;
+    if (cli.trace_path != "-") {
+      file.open(cli.trace_path, std::ios::trunc);
+      if (!file) {
+        std::fprintf(stderr, "lcda_run: cannot write %s\n",
+                     cli.trace_path.c_str());
+        return 1;
+      }
     }
+    std::ostream& trace = cli.trace_path == "-" ? std::cout : file;
     trace << csv.str();
+    for (const dist::MergedRun& run : out.runs) trace << run.csv;
   }
   if (!cli.json_path.empty()) {
     doc["scenario"] = core::scenario_to_json(scenario);
