@@ -8,7 +8,6 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "lcda/dist/progress.h"
@@ -48,22 +47,25 @@ double elapsed_ms(Clock::time_point since) {
       .count();
 }
 
+/// Progress-scan pacing: the poll loop sleeps kPollMinMs after an event
+/// and backs off exponentially to kPollMaxMs while idle.
+constexpr int kPollMinMs = 2;
+constexpr int kPollMaxMs = 100;
+
+/// Floor under the straggler bar, so scan jitter on sub-millisecond seeds
+/// cannot make a healthy shard look stalled.
+constexpr double kStealMinStaleMs = 10.0;
+
 /// Upper median of an unsorted sample (copies; samples are tiny).
 double median_of(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
 
-/// How a shard is doing right now, from the coordinator's point of view.
-enum class State { kPending, kRunning, kDone, kSuperseded };
-
 /// Scheduler-side shard record, parallel to the specs vector.
 struct Track {
-  State state = State::kPending;
   std::set<int> revoked;           // stolen seeds (persisted to revoke file)
   std::set<int> started, done;     // current attempt's progress records
-  bool stolen = false;             // phase-1 steal already taken
-  int duplicate_pos = -1;          // position of its supersede-duplicate
   Clock::time_point dispatch_time{};  // when the CURRENT spec was handed to
                                       // its worker (not when the resident
                                       // process was forked — an idle-then-
@@ -86,9 +88,7 @@ struct Slot {
   std::unique_ptr<util::Subprocess> worker;
   LineBuffer lines;
   bool busy = false;
-  bool banned = false;
-  std::size_t pos = 0;     // spec in flight (valid while busy)
-  std::set<int> failures;  // distinct shard indices that failed here
+  std::size_t pos = 0;  // spec in flight (valid while busy)
 };
 
 /// The seeds a spec still owes the merger: its seed list minus the
@@ -119,11 +119,6 @@ Coordinator::Coordinator(Options opts) : opts_(std::move(opts)) {
   }
   if (opts_.steal_threshold < 1.0) {
     throw std::invalid_argument("Coordinator: steal_threshold must be >= 1");
-  }
-  if (opts_.steal_min_stale_ms < 0) opts_.steal_min_stale_ms = 0;
-  if (opts_.poll_min_ms < 1) opts_.poll_min_ms = 1;
-  if (opts_.poll_max_ms < opts_.poll_min_ms) {
-    opts_.poll_max_ms = opts_.poll_min_ms;
   }
 }
 
@@ -168,19 +163,13 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
   const auto free_slot = [&]() -> int {
     for (int s = 0; s < opts_.max_parallel; ++s) {
-      const Slot& slot = slots[static_cast<std::size_t>(s)];
-      if (!slot.busy && !slot.banned) return s;
+      if (!slots[static_cast<std::size_t>(s)].busy) return s;
     }
     return -1;
   };
   const auto idle_slots = [&] {
     int n = 0;
-    for (const Slot& slot : slots) n += !slot.busy && !slot.banned;
-    return n;
-  };
-  const auto usable_slots = [&] {
-    int n = 0;
-    for (const Slot& slot : slots) n += !slot.banned;
+    for (const Slot& slot : slots) n += !slot.busy;
     return n;
   };
   const auto any_busy = [&] {
@@ -212,9 +201,9 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   };
 
   /// Forgets a slot's worker process once it has ended or been stopped
-  /// (a crash, heartbeat staleness, a superseded spec); the next dispatch
-  /// to the slot respawns one. Releases the in-flight spec, if any, and
-  /// returns whether there was one.
+  /// (a crash or heartbeat staleness); the next dispatch to the slot
+  /// respawns one. Releases the in-flight spec, if any, and returns
+  /// whether there was one.
   const auto drop_worker = [&](Slot& slot) {
     slot.worker.reset();
     slot.lines = LineBuffer{};
@@ -263,7 +252,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     slot.busy = true;
     slot.pos = p;
     Track& t = track[p];
-    t.state = State::kRunning;
     t.started.clear();
     t.done.clear();
     t.slot = slot_idx;
@@ -283,40 +271,8 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     }
   };
 
-  /// Stops the worker executing shard `p` (if any) and frees its slot.
-  /// This kills the resident process mid-spec — the next dispatch to the
-  /// slot respawns a replacement.
-  const auto stop_worker = [&](std::size_t p) {
-    for (Slot& slot : slots) {
-      if (!slot.busy || slot.pos != p) continue;
-      if (slot.worker) (void)slot.worker->stop(/*grace_ms=*/500);
-      drop_worker(slot);
-      return;
-    }
-  };
-
-  const auto drop_from_queue = [&](std::size_t p) {
-    queue.erase(std::remove(queue.begin(), queue.end(), p), queue.end());
-  };
-
-  /// A shard's worker was stopped or skipped because every seed it would
-  /// have published is covered by another spec's manifest (a supersede
-  /// duplicate, or the parent of a now-redundant duplicate).
-  const auto supersede = [&](std::size_t p, const char* why) {
-    Track& t = track[p];
-    if (t.state == State::kRunning) stop_worker(p);
-    if (t.state == State::kPending) drop_from_queue(p);
-    t.state = State::kSuperseded;
-    ++stats_.superseded;
-    if (opts_.verbose) {
-      std::fprintf(stderr, "[dist] shard %d superseded (%s)\n",
-                   specs[p].index, why);
-    }
-  };
-
   const auto on_success = [&](std::size_t p) {
     Track& t = track[p];
-    t.state = State::kDone;
     // Final progress read: the finished shard's per-seed walls anchor the
     // straggler detector's reference scale even when completion arrived
     // between progress scans.
@@ -329,66 +285,10 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     if (opts_.verbose) {
       std::fprintf(stderr, "[dist] shard %d done\n", specs[p].index);
     }
-    // A whole-shard duplicate landing first covers its parent; the parent
-    // landing first makes an unfinished duplicate redundant. Either way
-    // the slower copy is stopped and erased from the plan — the merger's
-    // per-seed arbitration handles the narrow race where both published.
-    if (specs[p].supersedes && specs[p].stolen_from >= 0) {
-      for (std::size_t q = 0; q < specs.size(); ++q) {
-        if (specs[q].index == specs[p].stolen_from &&
-            (track[q].state == State::kRunning ||
-             track[q].state == State::kPending)) {
-          supersede(q, "duplicate finished first");
-        }
-      }
-    }
-    if (t.duplicate_pos >= 0) {
-      const std::size_t d = static_cast<std::size_t>(t.duplicate_pos);
-      if (track[d].state == State::kRunning ||
-          track[d].state == State::kPending) {
-        supersede(d, "original finished first");
-      }
-    }
   };
 
-  const auto on_failure = [&](std::size_t p, int slot_idx,
-                              const std::string& described,
+  const auto on_failure = [&](std::size_t p, const std::string& described,
                               const std::string& stderr_output) {
-    Track& t = track[p];
-    // Health accounting: the slot (stand-in for a host in the multi-host
-    // era) remembers which distinct shards died on it; repeat offenders
-    // are banlisted for the rest of the study, but never below one
-    // usable slot.
-    if (slot_idx >= 0) {
-      Slot& slot = slots[static_cast<std::size_t>(slot_idx)];
-      slot.failures.insert(specs[p].index);
-      if (static_cast<int>(slot.failures.size()) >= opts_.banlist_after &&
-          !slot.banned && usable_slots() > 1) {
-        slot.banned = true;
-        stats_.banlisted_slots.push_back(slot_idx);
-        if (opts_.verbose) {
-          std::fprintf(stderr,
-                       "[dist] slot %d banlisted after %zu distinct shard "
-                       "failure(s)\n",
-                       slot_idx, slot.failures.size());
-        }
-      }
-    }
-    // A parent with a live (or finished) whole-shard duplicate owes the
-    // merger nothing — the duplicate owns the same seeds. Skip the retry.
-    if (t.duplicate_pos >= 0 &&
-        track[static_cast<std::size_t>(t.duplicate_pos)].state !=
-            State::kSuperseded) {
-      t.state = State::kSuperseded;
-      ++stats_.superseded;
-      if (opts_.verbose) {
-        std::fprintf(stderr,
-                     "[dist] shard %d failed (%s) but its duplicate covers "
-                     "it — not retrying\n",
-                     specs[p].index, described.c_str());
-      }
-      return;
-    }
     // attempt N failed; N+1 is the next one. max_retries bounds the
     // retries, so attempts 0..max_retries are allowed.
     if (specs[p].attempt < opts_.max_retries) {
@@ -403,7 +303,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
                      line.empty() ? "" : ": ", line.c_str(), specs[p].attempt,
                      opts_.max_retries);
       }
-      t.state = State::kPending;
       queue.push_back(p);
       return;
     }
@@ -415,8 +314,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
   /// Creates a steal spec owning `seeds`, inheriting the parent's study
   /// identity, and queues it for the next idle slot.
-  const auto dispatch_steal = [&](std::size_t parent, std::vector<int> seeds,
-                                  bool supersedes) {
+  const auto dispatch_steal = [&](std::size_t parent, std::vector<int> seeds) {
     ShardSpec spec;
     spec.index = next_index++;
     spec.count = specs[parent].count;
@@ -430,7 +328,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     spec.threshold_fraction = specs[parent].threshold_fraction;
     spec.study_slot = specs[parent].study_slot;
     spec.stolen_from = specs[parent].index;
-    spec.supersedes = supersedes;
     specs.push_back(std::move(spec));
     track.emplace_back();
     const std::size_t p = specs.size() - 1;
@@ -448,14 +345,14 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   /// One straggler-mitigation pass. A shard is a straggler when its
   /// progress has STALLED: no seed started or finished for longer than
   /// steal_threshold x the observed median per-seed wall (floored by
-  /// steal_min_stale_ms so scan jitter cannot trip it). Healthy shards
+  /// kStealMinStaleMs so scan jitter cannot trip it). Healthy shards
   /// racing to the finish keep emitting seed events at per-seed cadence
   /// and never look stalled — even on an oversubscribed box where every
   /// wall estimate is inflated by CPU queueing — while a shard grinding
   /// inside one slow seed goes quiet (heartbeats keep it alive, not
-  /// fresh: they are excluded from last_event on purpose). Phase 1 steals
-  /// its not-yet-started seeds onto idle slots; phase 2 duplicates the
-  /// started remainder as a supersede race. At most one steal per pass
+  /// fresh: they are excluded from last_event on purpose). Its
+  /// not-yet-started seeds are revoked and split over the idle slots; the
+  /// seed it is grinding through stays with it. At most one steal per pass
   /// keeps the policy easy to reason about; the next scan can steal
   /// again.
   const auto maybe_steal = [&] {
@@ -469,14 +366,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     std::vector<Candidate> running;
     for (const Slot& slot : slots) {
       if (!slot.busy) continue;
-      // A supersede-duplicate is never itself a steal source: it exists
-      // only as the second copy in a publish race the original is still
-      // running. Allowing it would chain duplicates-of-duplicates — every
-      // copy of a genuinely slow seed stalls past the bar, and each
-      // would spawn the next (duplicate_pos only guards the immediate
-      // parent) — so a slow seed could breed specs without bound instead
-      // of racing exactly two copies.
-      if (specs[slot.pos].supersedes) continue;
       const Track& t = track[slot.pos];
       Candidate c;
       c.pos = slot.pos;
@@ -509,21 +398,18 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       // least one: before the first start event the gap only measures
       // dispatch-to-startup latency, and flagging on that would revoke
       // seeds from healthy-but-queued workers (each revocation spawning a
-      // child that is equally slow to start — another unbounded chain). A
+      // child that is equally slow to start — an unbounded chain). A
       // worker wedged before its first event is the heartbeat reaper's
       // case, not the stealer's.
       ++stats_.steal_considered;
       const bool judged = reference > 0.0 && !track[c.pos].started.empty();
       const bool over_bar =
           judged && c.stale_ms > opts_.steal_threshold * reference;
-      const bool stalled =
-          over_bar &&
-          c.stale_ms > static_cast<double>(opts_.steal_min_stale_ms);
+      const bool stalled = over_bar && c.stale_ms > kStealMinStaleMs;
       if (over_bar && !stalled) ++stats_.steal_suppressed_min_stale;
       // A lone running shard with idle slots and no reference point:
       // splitting its unstarted seeds is pure win as long as it has
-      // parallelizable seeds left (phase 1 only — duplicating work the
-      // shard is actively progressing through is not).
+      // parallelizable seeds left.
       const bool lone_split = running.size() == 1 && reference == 0.0;
       if (!stalled && !lone_split) continue;
 
@@ -533,92 +419,56 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       for (int s : c.owned) {
         if (track[c.pos].started.count(s) == 0) unstarted.push_back(s);
       }
+      if (unstarted.empty()) continue;
 
-      if (!unstarted.empty()) {
-        // Phase 1: revoke the unstarted seeds, split them over the idle
-        // slots. The worker re-reads the revocation file before each
-        // seed, so it simply never runs them.
-        obs::Span steal_span("dist.steal");
-        for (int s : unstarted) track[c.pos].revoked.insert(s);
-        write_revocations(specs[c.pos].revoke_path, track[c.pos].revoked);
-        const int idle = idle_slots();
-        const std::size_t chunks =
-            std::min(unstarted.size(), static_cast<std::size_t>(idle));
-        std::vector<int> created;
-        for (std::size_t ch = 0; ch < chunks; ++ch) {
-          const std::size_t begin = ch * unstarted.size() / chunks;
-          const std::size_t end = (ch + 1) * unstarted.size() / chunks;
-          const std::size_t p = dispatch_steal(
-              c.pos,
-              std::vector<int>(unstarted.begin() + begin,
-                               unstarted.begin() + end),
-              /*supersedes=*/false);
-          created.push_back(specs[p].index);
-        }
-        track[c.pos].stolen = true;
-        if (opts_.verbose) {
-          std::fprintf(stderr,
-                       "[dist] stealing %zu not-yet-started seed(s) from "
-                       "shard %d into %zu new shard(s)\n",
-                       unstarted.size(), specs[c.pos].index, created.size());
-        }
-        return true;
+      // The worker re-reads the revocation file before each seed, so it
+      // simply never runs the revoked ones.
+      obs::Span steal_span("dist.steal");
+      for (int s : unstarted) track[c.pos].revoked.insert(s);
+      write_revocations(specs[c.pos].revoke_path, track[c.pos].revoked);
+      const std::size_t chunks = std::min(
+          unstarted.size(), static_cast<std::size_t>(idle_slots()));
+      for (std::size_t ch = 0; ch < chunks; ++ch) {
+        const std::size_t begin = ch * unstarted.size() / chunks;
+        const std::size_t end = (ch + 1) * unstarted.size() / chunks;
+        dispatch_steal(c.pos, std::vector<int>(unstarted.begin() + begin,
+                                               unstarted.begin() + end));
       }
-
-      if (stalled && track[c.pos].duplicate_pos < 0 && !c.owned.empty() &&
-          track[c.pos].done.size() < c.owned.size()) {
-        // Phase 2: everything left is already started (or finished but
-        // unpublished), so re-dispatch the shard's whole owed seed set as
-        // a supersede duplicate; whichever copy publishes first wins and
-        // the other worker is stopped.
-        obs::Span steal_span("dist.steal");
-        const std::size_t d =
-            dispatch_steal(c.pos, c.owned, /*supersedes=*/true);
-        track[c.pos].duplicate_pos = static_cast<int>(d);
-        if (opts_.verbose) {
-          std::fprintf(stderr,
-                       "[dist] duplicating shard %d's remaining %zu seed(s) "
-                       "as shard %d (supersede race)\n",
-                       specs[c.pos].index, c.owned.size(), specs[d].index);
-        }
-        return true;
+      if (opts_.verbose) {
+        std::fprintf(stderr,
+                     "[dist] stealing %zu not-yet-started seed(s) from "
+                     "shard %d into %zu new shard(s)\n",
+                     unstarted.size(), specs[c.pos].index, chunks);
       }
+      return true;
     }
     return false;
   };
 
-  /// Resolves the in-flight spec of a busy slot from a protocol reply.
-  const auto resolve_reply = [&](int slot_idx, Slot& slot,
-                                 const WorkerReply& reply,
-                                 const std::string& worker_stderr) {
-    release_spec(slot);
-    if (reply.kind == WorkerReply::Kind::kDone) {
-      on_success(slot.pos);
-    } else {
-      on_failure(slot.pos, slot_idx,
-                 reply.reason.empty() ? "worker error" : reply.reason,
-                 worker_stderr);
-    }
-  };
-
-  /// Runs every complete reply line buffered for a slot.
-  /// `dead_stderr` non-null means the worker is already reaped — its
-  /// captured stderr stands in for take_stderr().
-  const auto drain_replies = [&](int slot_idx, Slot& slot,
-                                 const std::string* dead_stderr) {
+  /// Runs every complete reply line buffered for a slot: `done` resolves
+  /// the in-flight spec, `failed` retries it. `dead_stderr` non-null means
+  /// the worker is already reaped — its captured stderr stands in for
+  /// take_stderr().
+  const auto drain_replies = [&](Slot& slot, const std::string* dead_stderr) {
     bool event = false;
     while (const std::optional<std::string> line = slot.lines.next_line()) {
       const std::optional<WorkerReply> reply = parse_worker_reply(*line);
-      // Stray stdout noise (or a reply kind we did not ask for) is not a
-      // scheduling signal; real worker trouble surfaces as a `failed`
-      // reply, a process exit, or heartbeat staleness.
-      if (!reply || reply->kind == WorkerReply::Kind::kPong) continue;
-      if (!slot.busy) continue;
+      // Stray stdout noise is not a scheduling signal; real worker trouble
+      // surfaces as a `failed` reply, a process exit, or heartbeat
+      // staleness.
+      if (!reply || !slot.busy) continue;
       // Attribute the worker's accumulated stderr to THIS spec before the
       // slot takes another one.
       const std::string worker_stderr =
           dead_stderr != nullptr ? *dead_stderr : slot.worker->take_stderr();
-      resolve_reply(slot_idx, slot, *reply, worker_stderr);
+      release_spec(slot);
+      if (reply->kind == WorkerReply::Kind::kDone) {
+        on_success(slot.pos);
+      } else {
+        on_failure(slot.pos,
+                   reply->reason.empty() ? "worker error" : reply->reason,
+                   worker_stderr);
+      }
       event = true;
     }
     return event;
@@ -633,15 +483,14 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   /// before the exit is judged.
   const auto scan_completions = [&] {
     bool event = false;
-    for (int s = 0; s < opts_.max_parallel; ++s) {
-      Slot& slot = slots[static_cast<std::size_t>(s)];
+    for (Slot& slot : slots) {
       if (!slot.worker) continue;
       const std::optional<util::Subprocess::Result> result =
           slot.worker->try_wait();
       const std::string* dead_stderr =
           result ? &result->stderr_output : nullptr;
       slot.lines.feed(slot.worker->read_stdout());
-      event = drain_replies(s, slot, dead_stderr) || event;
+      event = drain_replies(slot, dead_stderr) || event;
       if (!result) continue;
       const long pid = static_cast<long>(slot.worker->pid());
       if (drop_worker(slot)) {
@@ -651,7 +500,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
                        "will respawn\n",
                        pid, result->describe().c_str());
         }
-        on_failure(slot.pos, s, result->describe(), result->stderr_output);
+        on_failure(slot.pos, result->describe(), result->stderr_output);
         event = true;
       } else if (opts_.verbose && result->exit_code != 0) {
         std::fprintf(stderr,
@@ -667,8 +516,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   /// surfaced through try_wait already).
   const auto scan_progress = [&] {
     bool event = false;
-    for (int s = 0; s < opts_.max_parallel; ++s) {
-      Slot& slot = slots[static_cast<std::size_t>(s)];
+    for (Slot& slot : slots) {
       if (!slot.busy || !slot.worker) continue;
       Track& t = track[slot.pos];
       const ShardSpec& spec = specs[slot.pos];
@@ -715,13 +563,13 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
                      spec.index, pid, opts_.heartbeat_timeout_ms,
                      result.describe().c_str());
       }
-      on_failure(slot.pos, s, "heartbeat timeout", result.stderr_output);
+      on_failure(slot.pos, "heartbeat timeout", result.stderr_output);
       event = true;
     }
     return event;
   };
 
-  int backoff_ms = opts_.poll_min_ms;
+  int backoff_ms = kPollMinMs;
   while (!queue.empty() || any_busy()) {
     bool event = false;
 
@@ -742,7 +590,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     event = maybe_steal() || event;
 
     if (event) {
-      backoff_ms = opts_.poll_min_ms;
+      backoff_ms = kPollMinMs;
       continue;  // something changed; see if more work unblocked
     }
     if (!any_busy()) continue;  // pending work only; dispatch next pass
@@ -756,9 +604,9 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       for (const int fd : slot.worker->poll_fds()) wake_fds.push_back(fd);
     }
     if (util::Subprocess::wait_any_readable(wake_fds, backoff_ms)) {
-      backoff_ms = opts_.poll_min_ms;
+      backoff_ms = kPollMinMs;
     } else {
-      backoff_ms = std::min(backoff_ms * 2, opts_.poll_max_ms);
+      backoff_ms = std::min(backoff_ms * 2, kPollMaxMs);
     }
   }
 
@@ -789,29 +637,16 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     slot.worker.reset();
   }
 
-  // Final shard records, then drop superseded specs from the plan: they
-  // have no manifest, and every seed they owned is published by the spec
-  // that superseded them.
   for (std::size_t p = 0; p < specs.size(); ++p) {
     ShardStats s;
     s.index = specs[p].index;
     s.stolen_from = specs[p].stolen_from;
-    s.supersedes = specs[p].supersedes;
-    s.superseded = track[p].state == State::kSuperseded;
     s.attempts = std::max(1, track[p].dispatches);
     s.slot = track[p].slot;
     s.wall_ms = track[p].wall_ms;
     s.seeds = static_cast<int>(specs[p].seeds.size());
     stats_.shards.push_back(s);
   }
-  std::vector<ShardSpec> surviving;
-  surviving.reserve(specs.size());
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    if (track[p].state != State::kSuperseded) {
-      surviving.push_back(std::move(specs[p]));
-    }
-  }
-  specs = std::move(surviving);
 
   // Mirror the scheduling outcome into the metrics registry once, at the
   // end — cheap, and it keeps the hot scheduling loop free of metric
@@ -826,10 +661,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     obs::add_counter("dist.steal_considered", stats_.steal_considered);
     obs::add_counter("dist.steal_suppressed_min_stale",
                      stats_.steal_suppressed_min_stale);
-    obs::add_counter("dist.superseded", stats_.superseded);
     obs::add_counter("dist.dead_workers", stats_.dead_workers);
-    obs::add_counter("dist.banlisted_slots",
-                     static_cast<long long>(stats_.banlisted_slots.size()));
   }
 }
 

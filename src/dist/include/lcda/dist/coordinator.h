@@ -22,7 +22,7 @@ namespace lcda::dist {
 ///
 /// A busy slot resolves its spec in exactly one of two ways: a protocol
 /// reply (`done` resolves it, `failed` retries it), or the process ending
-/// (a crash, heartbeat staleness, or a superseded worker being stopped),
+/// (a crash, or the reaper stopping a worker whose heartbeat went stale),
 /// which is always abnormal.
 ///
 /// On top of plain execution it mitigates stragglers and dead workers:
@@ -36,27 +36,17 @@ namespace lcda::dist {
 ///   worker skips them) and re-dispatched to idle slots as fresh specs.
 ///   Legal because seed derivation is order-independent and the merger
 ///   accepts arbitrary partitions; the merged bytes cannot change, only
-///   the wall clock.
-/// - **Supersede duplication.** A straggler with nothing left to steal
-///   (all remaining seeds already started) gets its whole unpublished
-///   seed set duplicated onto an idle slot; whichever copy finishes
-///   first wins and the other worker is stopped (SIGTERM -> grace ->
-///   SIGKILL). Seed arbitration in the merger keeps exactly one copy of
-///   any seed both published, deterministically (lowest shard index). A
-///   duplicate is never itself a steal source and a shard is only judged
-///   stalled after its first observed event, so a slow seed races
-///   exactly two copies — the plan cannot breed specs without bound.
+///   the wall clock. The seed a straggler is grinding through stays
+///   with it: a second copy would restart that seed from scratch, and on
+///   one host such a copy was measured never to finish first.
 /// - **Health tracking.** A worker whose progress file goes stale for
 ///   `heartbeat_timeout_ms` is declared dead, stopped, and its shard
-///   retried without waiting for the process to exit. A slot whose
-///   workers fail `banlist_after` distinct shards is banlisted for the
-///   study (capacity shrinks, never below one slot).
+///   retried without waiting for the process to exit.
 ///
 /// A failed shard is retried up to `max_retries` extra attempts before
 /// the run gives up with the worker's captured stderr in the error. On
-/// success every surviving spec's result_path names a fresh manifest for
-/// the merger; specs whose workers were superseded (their seeds are
-/// covered by other manifests) are erased from the plan.
+/// success every spec's result_path names a fresh manifest for the
+/// merger.
 class Coordinator {
  public:
   struct Options {
@@ -73,16 +63,16 @@ class Coordinator {
     int max_retries = 2;   ///< extra attempts per shard after the first
 
     /// Shard lifecycle narration on stderr (dispatch / done / retry /
-    /// steal / banlist lines).
+    /// steal lines).
     bool verbose = true;
 
     /// Work stealing. A running shard is a straggler when its progress
     /// has STALLED: no seed started or finished for longer than
     /// steal_threshold x the observed median per-seed wall (heartbeats
     /// prove liveness, not progress, and do not reset the clock). The
-    /// stall bar is additionally floored by steal_min_stale_ms so scan
-    /// jitter on sub-millisecond seeds cannot trip it. Judging the GAP
-    /// between events rather than a remaining-wall projection keeps the
+    /// stall bar is additionally floored at 10 ms so scan jitter on
+    /// sub-millisecond seeds cannot trip it. Judging the GAP between
+    /// events rather than a remaining-wall projection keeps the
     /// detector honest on oversubscribed boxes, where CPU queueing
     /// inflates every projection but healthy shards still emit events at
     /// per-seed cadence. Requires steal_threshold >= 1.0; stealing only
@@ -90,7 +80,6 @@ class Coordinator {
     /// study.
     bool enable_steal = true;
     double steal_threshold = 2.0;
-    int steal_min_stale_ms = 10;
 
     /// Worker heartbeat period (written into each spec; 0 disables the
     /// worker-side heartbeat thread) and the staleness bar after which a
@@ -98,31 +87,16 @@ class Coordinator {
     int heartbeat_ms = 250;
     int heartbeat_timeout_ms = 10000;
 
-    /// Progress-scan pacing: the poll loop sleeps poll_min_ms after an
-    /// event and backs off exponentially to poll_max_ms while idle.
-    int poll_min_ms = 2;
-    int poll_max_ms = 100;
-
-    /// A slot is banlisted once its workers have failed this many
-    /// distinct shards (crashes, non-zero exits, heartbeat deaths) —
-    /// YT-style node retirement scaled down to process slots. At least
-    /// one slot always stays usable.
-    int banlist_after = 3;
-
     /// Stamp a per-attempt trace_path into every dispatched spec, so
     /// workers export their span ring (lcda::obs) next to their manifest
     /// and the caller can gather the files into one merged timeline.
     bool trace_spans = false;
   };
 
-  /// Per-shard scheduling record, kept for every spec that ever existed
-  /// in the plan (including superseded ones the final plan no longer
-  /// carries).
+  /// Per-shard scheduling record, one for every spec in the final plan.
   struct ShardStats {
     int index = 0;
-    int stolen_from = -1;    ///< parent shard for steal/duplicate specs
-    bool supersedes = false; ///< was a whole-shard duplicate
-    bool superseded = false; ///< worker stopped; seeds covered elsewhere
+    int stolen_from = -1;    ///< parent shard for steal specs
     int attempts = 1;        ///< dispatches of this shard (one per attempt)
     int slot = -1;           ///< last slot it ran on
     double wall_ms = 0.0;    ///< total busy wall across attempts
@@ -137,18 +111,16 @@ class Coordinator {
     int pool_workers = 0;  ///< resident worker processes launched (incl.
                            ///< replacements)
     int retries = 0;
-    int steals = 0;     ///< steal/duplicate specs created
+    int steals = 0;     ///< steal specs created
     int stolen_seeds = 0;
     /// Straggler-detector visibility: candidates the stall judgement ran
     /// on at all, and candidates over the threshold bar that only the
-    /// steal_min_stale_ms floor suppressed. Both zero distinguishes
+    /// 10 ms stall floor suppressed. Both zero distinguishes
     /// "detection never ran" (no idle slot, no running candidate) from a
     /// genuinely healthy study that was judged and passed.
     int steal_considered = 0;
     int steal_suppressed_min_stale = 0;
-    int superseded = 0; ///< workers stopped because their seeds were covered
     int dead_workers = 0;  ///< heartbeat-staleness kills
-    std::vector<int> banlisted_slots;
     std::vector<ShardStats> shards;
   };
 
@@ -156,13 +128,11 @@ class Coordinator {
 
   /// Runs every shard to completion, mutating the plan in place: the
   /// coordinator assigns result/progress/revocation paths under
-  /// shard_dir, bumps attempt counters across retries, APPENDS specs it
-  /// creates by stealing, and ERASES specs whose workers were superseded
-  /// (they have no manifest; their seeds are covered by the appended
-  /// ones). After it returns, loading every spec's manifest and merging
-  /// yields bytes identical to the single-process study. Throws
-  /// std::runtime_error when a shard exhausts its attempts or a worker
-  /// cannot be spawned.
+  /// shard_dir, bumps attempt counters across retries and APPENDS specs
+  /// it creates by stealing. After it returns, loading every spec's
+  /// manifest and merging yields bytes identical to the single-process
+  /// study. Throws std::runtime_error when a shard exhausts its attempts
+  /// or a worker cannot be spawned.
   void run(std::vector<ShardSpec>& specs);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }

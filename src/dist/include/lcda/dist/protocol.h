@@ -15,23 +15,21 @@ namespace lcda::dist {
 /// (respawn + retry), it never crashes on it.
 inline constexpr const char* kWorkerCmdFormat = "lcda-worker-cmd-v1";
 
-/// Coordinator -> worker. `run` names a shard-spec file to execute; `ping`
-/// requests a `pong` (liveness probe without touching a spec); `shutdown`
-/// asks the worker to finish nothing further and exit 0 (the worker also
-/// treats stdin EOF as shutdown, so a coordinator crash can never leave an
-/// immortal worker reading a closed pipe).
+/// Coordinator -> worker. `run` names a shard-spec file to execute;
+/// `shutdown` asks the worker to finish nothing further and exit 0 (the
+/// worker also treats stdin EOF as shutdown, so a coordinator crash can
+/// never leave an immortal worker reading a closed pipe).
 struct WorkerCommand {
-  enum class Kind { kRun, kPing, kShutdown };
+  enum class Kind { kRun, kShutdown };
   Kind kind = Kind::kRun;
   std::string spec_path;  ///< kRun only
 };
 
 /// Worker -> coordinator. `done` carries the path of the manifest the spec
 /// published; `failed` carries a reason string (the spec did not produce a
-/// manifest, but the worker survived and can take another command);
-/// `pong` answers `ping`.
+/// manifest, but the worker survived and can take another command).
 struct WorkerReply {
-  enum class Kind { kDone, kFailed, kPong };
+  enum class Kind { kDone, kFailed };
   Kind kind = Kind::kDone;
   std::string manifest_path;  ///< kDone only
   std::string reason;         ///< kFailed only

@@ -91,11 +91,8 @@ struct ShardSpec {
   int heartbeat_ms = 0;
 
   /// Steal provenance: the shard index this spec's seeds were stolen from,
-  /// -1 for planner-born shards. When `supersedes` is also set, this spec
-  /// duplicates every seed its parent would still publish, so the
-  /// coordinator stops the parent the moment this spec's manifest lands.
+  /// -1 for planner-born shards.
   int stolen_from = -1;
-  bool supersedes = false;
 
   /// Which attempt this dispatch is (0 first; the coordinator bumps it on
   /// every retry). Attempt-0-only LCDA_FAULT injections key off it.

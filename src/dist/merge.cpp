@@ -21,8 +21,7 @@ std::string hex64(std::uint64_t v) { return "0x" + util::hex_u64(v); }
 /// Collects every (seed -> entry) pair of one shard group, with
 /// exactly-once arbitration: a seed published by two DIFFERENT shards is
 /// legal under work stealing (a revocation can race the worker's own
-/// start of that seed, and a supersede duplicate can tie with its
-/// parent), and both copies are byte-identical because per-seed entries
+/// start of that seed), and both copies are byte-identical because per-seed entries
 /// are partition-independent — so the merge deterministically keeps the
 /// lowest shard index, regardless of which worker won the wall-clock
 /// race. The same shard listing a seed twice is still a hard error, as

@@ -11,7 +11,6 @@ using util::Json;
 const char* command_name(WorkerCommand::Kind kind) {
   switch (kind) {
     case WorkerCommand::Kind::kRun: return "run";
-    case WorkerCommand::Kind::kPing: return "ping";
     case WorkerCommand::Kind::kShutdown: return "shutdown";
   }
   return "run";
@@ -21,7 +20,6 @@ const char* reply_name(WorkerReply::Kind kind) {
   switch (kind) {
     case WorkerReply::Kind::kDone: return "done";
     case WorkerReply::Kind::kFailed: return "failed";
-    case WorkerReply::Kind::kPong: return "pong";
   }
   return "done";
 }
@@ -80,8 +78,6 @@ std::optional<WorkerCommand> parse_worker_command(std::string_view line) {
       return std::nullopt;
     }
     cmd.spec_path = doc->at("spec_path").as_string();
-  } else if (name == "ping") {
-    cmd.kind = WorkerCommand::Kind::kPing;
   } else if (name == "shutdown") {
     cmd.kind = WorkerCommand::Kind::kShutdown;
   } else {
@@ -112,8 +108,6 @@ std::optional<WorkerReply> parse_worker_reply(std::string_view line) {
     if (doc->contains("reason") && doc->at("reason").is_string()) {
       reply.reason = doc->at("reason").as_string();
     }
-  } else if (name == "pong") {
-    reply.kind = WorkerReply::Kind::kPong;
   } else {
     return std::nullopt;
   }

@@ -342,12 +342,6 @@ int run_worker_loop() {
       continue;
     }
     if (cmd->kind == WorkerCommand::Kind::kShutdown) return 0;
-    if (cmd->kind == WorkerCommand::Kind::kPing) {
-      WorkerReply reply;
-      reply.kind = WorkerReply::Kind::kPong;
-      send_reply(reply);
-      continue;
-    }
     WorkerReply reply;
     try {
       const ShardSpec spec = load_shard_spec(cmd->spec_path);

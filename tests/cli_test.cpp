@@ -131,10 +131,6 @@ INSTANTIATE_TEST_SUITE_P(
                   "unknown key \"bogus.key\""},
         Rejection{"unknown_strategy", {kPaper, "--strategy=lcda,nosuch"}, 1,
                   "unknown strategy \"nosuch\""},
-        // The speedup study ignores the list, but still parses it.
-        Rejection{"speedup_unknown_strategy",
-                  {kPaper, "--speedup", "--strategy=nosuch"}, 1,
-                  "unknown strategy \"nosuch\""},
         // Usage errors (exit 2).
         Rejection{"unknown_flag", {kPaper, "--bogus"}, 2,
                   "unknown argument \"--bogus\""},
@@ -154,6 +150,18 @@ INSTANTIATE_TEST_SUITE_P(
                   "--speedup uses the scenario's episode budgets"},
         Rejection{"speedup_threshold", {kPaper, "--speedup", "--threshold=0.2"},
                   2, "--speedup takes --threshold-fraction"},
+        // The speedup study always pairs LCDA with NACIM, so any strategy
+        // list would be ignored; it is refused before it is even parsed.
+        Rejection{"speedup_unknown_strategy",
+                  {kPaper, "--speedup", "--strategy=nosuch"}, 2,
+                  "--speedup always pairs LCDA with NACIM"},
+        Rejection{"speedup_strategy",
+                  {kPaper, "--speedup", "--strategy=lcda", "--set",
+                   "lcda_episodes=4", "--set", "nacim_episodes=8"},
+                  2, "--speedup always pairs LCDA with NACIM"},
+        Rejection{"speedup_strategy_genetic",
+                  {kPaper, "--speedup", "--strategy=genetic"}, 2,
+                  "--speedup always pairs LCDA with NACIM"},
         Rejection{"threshold_fraction_runs",
                   {kPaper, "--threshold-fraction=0.9"}, 2,
                   "--threshold-fraction requires --speedup"},
@@ -247,10 +255,6 @@ INSTANTIATE_TEST_SUITE_P(
                    {kPaper, "--speedup", "--seeds=2", "--threshold-fraction=0.9",
                     "--set", "lcda_episodes=6", "--set", "nacim_episodes=12"},
                    "mean speedup over"},
-        Acceptance{"speedup_strategy",
-                   {kPaper, "--speedup", "--strategy=lcda", "--set",
-                    "lcda_episodes=4", "--set", "nacim_episodes=8"},
-                   "speedup"},
         Acceptance{"empty_shard_dir_without_distribute",
                    {kPaper, "--episodes=3", "--quiet", "--shard-dir="},
                    "(3 episodes)"},

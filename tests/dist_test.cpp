@@ -173,14 +173,12 @@ TEST(Protocol, CommandAndReplyRoundTrip) {
   EXPECT_EQ(back->kind, dist::WorkerCommand::Kind::kRun);
   EXPECT_EQ(back->spec_path, run.spec_path);
 
-  for (const auto kind : {dist::WorkerCommand::Kind::kPing,
-                          dist::WorkerCommand::Kind::kShutdown}) {
-    dist::WorkerCommand cmd;
-    cmd.kind = kind;
-    const auto parsed = dist::parse_worker_command(dist::encode_worker_command(cmd));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->kind, kind);
-  }
+  dist::WorkerCommand shutdown;
+  shutdown.kind = dist::WorkerCommand::Kind::kShutdown;
+  const auto shutdown_back =
+      dist::parse_worker_command(dist::encode_worker_command(shutdown));
+  ASSERT_TRUE(shutdown_back.has_value());
+  EXPECT_EQ(shutdown_back->kind, dist::WorkerCommand::Kind::kShutdown);
 
   dist::WorkerReply done;
   done.kind = dist::WorkerReply::Kind::kDone;
@@ -198,12 +196,6 @@ TEST(Protocol, CommandAndReplyRoundTrip) {
   ASSERT_TRUE(failed_back.has_value());
   EXPECT_EQ(failed_back->kind, dist::WorkerReply::Kind::kFailed);
   EXPECT_EQ(failed_back->reason, failed.reason);
-
-  dist::WorkerReply pong;
-  pong.kind = dist::WorkerReply::Kind::kPong;
-  const auto pong_back = dist::parse_worker_reply(dist::encode_worker_reply(pong));
-  ASSERT_TRUE(pong_back.has_value());
-  EXPECT_EQ(pong_back->kind, dist::WorkerReply::Kind::kPong);
 }
 
 TEST(Protocol, MalformedLinesParseToNullopt) {
@@ -213,7 +205,12 @@ TEST(Protocol, MalformedLinesParseToNullopt) {
   EXPECT_FALSE(dist::parse_worker_command("{\"cmd\":\"run\"}\n").has_value());
   EXPECT_FALSE(
       dist::parse_worker_command(
-          "{\"format\":\"other-v1\",\"cmd\":\"ping\"}\n")
+          "{\"format\":\"other-v1\",\"cmd\":\"shutdown\"}\n")
+          .has_value());
+  // A well-formed line naming a command v1 does not have is unknown.
+  EXPECT_FALSE(
+      dist::parse_worker_command(
+          "{\"format\":\"lcda-worker-cmd-v1\",\"cmd\":\"ping\"}\n")
           .has_value());
   // `run` without a spec_path is incomplete, not a default-empty run.
   EXPECT_FALSE(
@@ -248,7 +245,7 @@ TEST(Protocol, LineBufferReassemblesTornLines) {
   EXPECT_TRUE(lines.pending().empty());
 }
 
-TEST(Protocol, WorkerLoopAnswersPingAndDrainsOnShutdown) {
+TEST(Protocol, WorkerLoopReassemblesTornCommandsAndDrainsOnShutdown) {
   const std::string runner = lcda_run_path();
   if (runner.empty()) {
     GTEST_SKIP() << "lcda_run binary not next to the test binary";
@@ -271,36 +268,32 @@ TEST(Protocol, WorkerLoopAnswersPingAndDrainsOnShutdown) {
     return dist::parse_worker_reply(*line);
   };
 
-  // A command torn across two writes still parses once the newline lands.
-  dist::WorkerCommand ping;
-  ping.kind = dist::WorkerCommand::Kind::kPing;
-  const std::string ping_line = dist::encode_worker_command(ping);
-  ASSERT_TRUE(worker.write_stdin(ping_line.substr(0, 5)));
-  ASSERT_TRUE(worker.write_stdin(ping_line.substr(5)));
+  // A spec the worker cannot load is a `failed` reply with a reason, not a
+  // dead process. Torn across two writes, the `run` still parses once the
+  // newline lands: the reason names the load, not a malformed line.
+  dist::WorkerCommand run;
+  run.kind = dist::WorkerCommand::Kind::kRun;
+  run.spec_path = temp_dir("loop_missing_spec") + "/no-such-spec.json";
+  const std::string run_line = dist::encode_worker_command(run);
+  ASSERT_TRUE(worker.write_stdin(run_line.substr(0, 5)));
+  ASSERT_TRUE(worker.write_stdin(run_line.substr(5)));
   auto reply = next_reply();
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kPong);
+  EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kFailed);
+  EXPECT_FALSE(reply->reason.empty());
+  EXPECT_NE(reply->reason, "malformed command line");
 
   // Garbage does not kill the loop; it reports and keeps serving.
   ASSERT_TRUE(worker.write_stdin("definitely not json\n"));
   reply = next_reply();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kFailed);
-
-  // A spec the worker cannot load is a `failed` reply with a reason, not a
-  // dead process: the loop keeps serving.
-  dist::WorkerCommand run;
-  run.kind = dist::WorkerCommand::Kind::kRun;
-  run.spec_path = temp_dir("loop_missing_spec") + "/no-such-spec.json";
-  ASSERT_TRUE(worker.write_stdin(dist::encode_worker_command(run)));
+  EXPECT_EQ(reply->reason, "malformed command line");
+  ASSERT_TRUE(worker.write_stdin(run_line));
   reply = next_reply();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kFailed);
-  EXPECT_FALSE(reply->reason.empty());
-  ASSERT_TRUE(worker.write_stdin(ping_line));
-  reply = next_reply();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kPong);
+  EXPECT_NE(reply->reason, "malformed command line");
 
   // `shutdown` drains the loop: clean exit 0, no kill needed.
   dist::WorkerCommand shutdown;
@@ -500,6 +493,86 @@ TEST(Merge, IncompleteOrForeignManifestsAreRejected) {
       std::runtime_error);
 }
 
+/// `manifest` with `edit` applied to each of its entries for `seed`.
+template <typename Edit>
+util::Json edit_entries(const util::Json& manifest, int seed, Edit edit) {
+  util::Json out = manifest;
+  util::Json entries = util::Json::array();
+  for (util::Json entry : manifest.at("entries").elements()) {
+    if (entry.at("seed").as_int() == seed) edit(entries, entry);
+    entries.push_back(std::move(entry));
+  }
+  out["entries"] = entries;
+  return out;
+}
+
+TEST(Merge, DuplicateSeedsKeepTheLowerShardIndex) {
+  core::Scenario scenario = small_scenario();
+  const int kSeeds = 4;
+  const std::string reference =
+      core::aggregate_to_json(
+          core::run_aggregate(core::Strategy::kLcda,
+                              scenario.config.lcda_episodes, kSeeds,
+                              scenario.config, NAN))
+          .dump(2);
+  auto specs = dist::plan_shards(
+      scenario, dist::ShardMode::kAggregate,
+      {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, kSeeds,
+      /*shards=*/2, NAN, 0.95);
+  ASSERT_EQ(specs.size(), 2u);
+  ASSERT_EQ(specs[0].seeds, (std::vector<int>{0, 1}));
+  // The steal race: shard 0 had already started seed 1 when it was
+  // revoked, so both shard 0 and the thief (index 2) publish seed 1.
+  dist::ShardSpec thief = specs[0];
+  thief.index = 2;
+  thief.seeds = {1};
+  thief.stolen_from = 0;
+  specs.push_back(thief);
+  const std::vector<util::Json> manifests = run_shards_in_process(specs);
+
+  // Poison one copy of seed 1 so the merge shows which copy it kept.
+  const auto poison = [](util::Json&, util::Json& entry) {
+    entry["final_best"] = 1e9;
+  };
+  const auto merged = [&](const std::vector<std::size_t>& order,
+                          const std::vector<util::Json>& ms) {
+    std::vector<dist::ShardSpec> s;
+    std::vector<util::Json> m;
+    for (std::size_t i : order) {
+      s.push_back(specs[i]);
+      m.push_back(ms[i]);
+    }
+    return core::aggregate_to_json(dist::merge_aggregate(s, m)).dump(2);
+  };
+  std::vector<util::Json> thief_poisoned = manifests;
+  thief_poisoned[2] = edit_entries(manifests[2], 1, poison);
+  const std::vector<std::vector<std::size_t>> orders = {
+      {0, 1, 2}, {2, 1, 0}, {1, 2, 0}};
+  for (const std::vector<std::size_t>& order : orders) {
+    EXPECT_EQ(merged(order, thief_poisoned), reference);
+  }
+  // Poisoning the lower index's copy instead does show in the merge.
+  std::vector<util::Json> parent_poisoned = manifests;
+  parent_poisoned[0] = edit_entries(manifests[0], 1, poison);
+  EXPECT_NE(merged({2, 1, 0}, parent_poisoned), reference);
+
+  // One shard listing a seed twice is a hard error, never a dedupe.
+  std::vector<util::Json> listed_twice = {manifests[0], manifests[1]};
+  listed_twice[1] = edit_entries(
+      manifests[1], 2,
+      [](util::Json& entries, const util::Json& entry) {
+        entries.push_back(entry);
+      });
+  try {
+    (void)dist::merge_aggregate({specs[0], specs[1]}, listed_twice);
+    ADD_FAILURE() << "a seed listed twice by one shard was merged";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("appears in more than one shard"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------- end-to-end worker processes
 
 TEST(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
@@ -627,7 +700,7 @@ TEST(Distributed, StragglerStealingKeepsBytesIdentical) {
 
   // Inject a straggler: shard 0 owns seeds {0,1} (6 seeds over 4 chunks)
   // and sleeps 400ms before each, while its peers finish in milliseconds.
-  // The coordinator must steal/duplicate its pending work — and the
+  // The coordinator must steal its pending work — and the
   // merged bytes must not move.
   auto specs = dist::plan_shards(
       scenario, dist::ShardMode::kRuns,

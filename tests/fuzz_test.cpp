@@ -632,7 +632,6 @@ std::vector<std::string> real_spec_documents() {
       spec.trace_path = spec.result_path + ".trace";
       spec.heartbeat_ms = 50;
       spec.stolen_from = spec.index == 1 ? 0 : -1;
-      spec.supersedes = spec.index == 1;
       spec.attempt = spec.index;
       docs.push_back(dist::shard_spec_to_json(spec).dump());
     }
@@ -759,13 +758,11 @@ TEST_P(ShardSpecFuzz, WorkerLinesAreRejectedOrRoundTrip) {
   const std::vector<std::string> commands = {
       dist::encode_worker_command({Cmd::Kind::kRun, "/shards/shard-0-spec.json"}),
       dist::encode_worker_command({Cmd::Kind::kRun, "/odd \"dir\"\n/spec"}),
-      dist::encode_worker_command({Cmd::Kind::kPing, ""}),
       dist::encode_worker_command({Cmd::Kind::kShutdown, ""})};
   const std::vector<std::string> replies = {
       dist::encode_worker_reply({Reply::Kind::kDone, "/shards/shard-0.json", ""}),
       dist::encode_worker_reply({Reply::Kind::kFailed, "", "merge: seed 3 \t"}),
-      dist::encode_worker_reply({Reply::Kind::kFailed, "", ""}),
-      dist::encode_worker_reply({Reply::Kind::kPong, "", ""})};
+      dist::encode_worker_reply({Reply::Kind::kFailed, "", ""})};
   int rejected = 0;
   constexpr int kCases = 300;
   for (int i = 0; i < kCases; ++i) {

@@ -25,7 +25,7 @@
 //                          (the LCDA_SCENARIO_DIR environment variable
 //                          autoloads a directory the same way)
 //   --strategy=A[,B...]    strategies to run (default: the scenario's);
-//                          "all" sweeps every strategy
+//                          "all" sweeps every strategy. Not with --speedup
 //   --aggregate            multi-seed aggregate per strategy instead of the
 //                          per-seed episode listing (core::run_aggregate):
 //                          running-best mean/stddev across seeds, final-best
@@ -282,7 +282,8 @@ const Flag kFlags[] = {
     {"--scenario", &O::scenario},
     {"--scenario-file", &O::scenario_file},
     {"--scenario-dir", &O::scenario_dir},
-    {"--strategy", &O::strategies},
+    {"--strategy", &O::strategies, "!--speedup",
+     "--speedup always pairs LCDA with NACIM; drop --strategy"},
     {"--seeds", &O::seeds, {}, {}, 1},
     {"--seed", &O::seed},
     {"--set", &O::overrides},
@@ -397,11 +398,11 @@ int parse_args(int argc, char** argv, CliOptions& cli) {
 /// The --strategy list ("all" sweeps every strategy) with per-strategy
 /// episode budgets, resolved once so the in-process and distributed paths
 /// can never disagree on them. The speedup study has no strategy axis and
-/// takes both budgets from the config: one entry (the list is still
-/// parsed, so a misspelt strategy fails in every mode).
+/// takes both budgets from the config: one entry.
 std::vector<dist::StrategyStudy> resolve_studies(
     const CliOptions& cli, const core::Scenario& scenario,
     dist::ShardMode mode) {
+  if (mode == dist::ShardMode::kSpeedup) return {{core::Strategy::kLcda, 0}};
   std::vector<core::Strategy> strategies = {scenario.default_strategy};
   if (util::to_lower(cli.strategies) == "all") {
     strategies = core::all_strategies();
@@ -411,7 +412,6 @@ std::vector<dist::StrategyStudy> resolve_studies(
       strategies.push_back(core::strategy_from_name(util::trim(name)));
     }
   }
-  if (mode == dist::ShardMode::kSpeedup) return {{core::Strategy::kLcda, 0}};
   std::vector<dist::StrategyStudy> studies;
   for (core::Strategy strategy : strategies) {
     const int episodes =
@@ -461,11 +461,7 @@ util::Json dist_stats_to_json(const DistributedStudy& study) {
   j["retries"] = stats.retries;
   j["steals"] = stats.steals;
   j["stolen_seeds"] = stats.stolen_seeds;
-  j["superseded"] = stats.superseded;
   j["dead_workers"] = stats.dead_workers;
-  util::Json banned = util::Json::array();
-  for (int slot : stats.banlisted_slots) banned.push_back(slot);
-  j["banlisted_slots"] = banned;
   util::Json shards = util::Json::array();
   for (const dist::Coordinator::ShardStats& s : stats.shards) {
     util::Json e = util::Json::object();
@@ -475,8 +471,6 @@ util::Json dist_stats_to_json(const DistributedStudy& study) {
     e["slot"] = s.slot;
     e["wall_ms"] = s.wall_ms;
     if (s.stolen_from >= 0) e["stolen_from"] = s.stolen_from;
-    if (s.supersedes) e["supersedes"] = true;
-    if (s.superseded) e["superseded"] = true;
     shards.push_back(e);
   }
   j["shards"] = shards;
@@ -487,8 +481,6 @@ util::Json dist_stats_to_json(const DistributedStudy& study) {
   }
   j["store"] = store;
   j["resumed_episodes"] = study.obs.counter("engine.resumed_episodes");
-  // Everything below is append-only: existing consumers index the keys
-  // above by name and must keep finding them where they are.
   j["steal_considered"] = stats.steal_considered;
   j["steal_suppressed_min_stale"] = stats.steal_suppressed_min_stale;
   j["obs"] = study.obs.to_json();
@@ -585,21 +577,19 @@ DistributedStudy run_distributed(const CliOptions& cli,
   }
   release_shard_dir();
 
-  // One greppable scheduling summary per distributed run (bench_record.sh
-  // and humans read it; byte-diffed outputs never include stderr). Store
-  // fields come from the merged registry snapshot now; the field order is
-  // frozen, new fields append at the end.
+  // One greppable scheduling summary per distributed run (bench_record.sh,
+  // CI and humans read it by field name; byte-diffed outputs never include
+  // stderr). Store fields come from the merged registry snapshot.
   const dist::Coordinator::Stats& st = study.stats;
   std::fprintf(stderr,
                "[dist] summary: shards=%d spawned=%d retries=%d steals=%d "
-               "stolen_seeds=%d superseded=%d dead_workers=%d "
-               "banlisted_slots=%zu pool_workers=%d store_hits=%lld "
-               "store_shared=%lld store_misses=%lld store_bytes_read=%lld "
-               "store_bytes_published=%lld resumed_episodes=%lld "
-               "steal_considered=%d steal_suppressed_min_stale=%d\n",
+               "stolen_seeds=%d dead_workers=%d pool_workers=%d "
+               "store_hits=%lld store_shared=%lld store_misses=%lld "
+               "store_bytes_read=%lld store_bytes_published=%lld "
+               "resumed_episodes=%lld steal_considered=%d "
+               "steal_suppressed_min_stale=%d\n",
                st.planned, st.spawned, st.retries, st.steals, st.stolen_seeds,
-               st.superseded, st.dead_workers, st.banlisted_slots.size(),
-               st.pool_workers, study.obs.counter("store.hits"),
+               st.dead_workers, st.pool_workers, study.obs.counter("store.hits"),
                study.obs.counter("store.shared_hits"),
                study.obs.counter("store.misses"),
                study.obs.counter("store.bytes_read"),
