@@ -49,6 +49,32 @@ struct AggregateResult {
   }
 };
 
+/// One seed's share of an AggregateResult: exactly the values the fold
+/// consumes. Distributed workers (lcda::dist) ship one per seed, and the
+/// merger folds them with the same fold_seed as run_aggregate.
+struct SeedSummary {
+  std::vector<double> running_max;  ///< running-best reward per episode
+  double final_best = 0.0;
+  std::int64_t cache_hits = 0;
+  std::int64_t cache_misses = 0;
+  std::int64_t persistent_hits = 0;
+  std::int64_t persistent_shared_hits = 0;
+  std::int64_t persistent_skipped = 0;
+  std::int64_t persistent_save_failures = 0;
+  std::int64_t resumed_episodes = 0;  ///< observability only, never shipped
+  /// First episode at or above the threshold; -1 when never reached or no
+  /// threshold was asked.
+  int threshold_episode = -1;
+};
+
+/// The summary of one finished run against `threshold` (NaN = none).
+[[nodiscard]] SeedSummary summarize_seed(const RunResult& run,
+                                         double threshold);
+
+/// Adds one seed to `agg`. Seeds must be folded in canonical seed order:
+/// the Welford accumulators are order-sensitive in floating point.
+void fold_seed(AggregateResult& agg, const SeedSummary& seed);
+
 /// The per-seed config of global seed index `s` in a `seeds`-seed
 /// aggregate/speedup study: the seed stream is derived by key
 /// (util::derive_seed, order-independent), and the worker budget is split

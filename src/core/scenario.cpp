@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -19,69 +20,177 @@ namespace lcda::core {
 
 namespace {
 
-// ------------------------------------------------------------- primitives
+// ------------------------------------------------------------ value codecs
+//
+// How one member's value is written and read. A value of the wrong JSON
+// type, or an integer its member cannot hold, fails naming the key path.
+
+template <class E>
+using NameOf = std::string_view (*)(E);
+template <class E>
+using FromName = E (*)(std::string_view);
+
+template <class M>
+util::Json encode(const M& value) {
+  return util::Json(value);
+}
+
+util::Json encode(const std::vector<int>& value) {
+  util::Json arr = util::Json::array();
+  for (int v : value) arr.push_back(v);
+  return arr;
+}
+
+/// Doubles hold integers exactly only up to 2^53; larger seeds (e.g.
+/// derive_seed outputs) go through a hex string.
+util::Json encode_seed(std::uint64_t value) {
+  if (value <= (1ULL << 53)) return static_cast<long long>(value);
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(value));
+  return "0x" + std::string(buf);
+}
+
+template <class E>
+util::Json encode_named(E value, NameOf<E> name) {
+  return std::string(name(value));
+}
+
+template <class E>
+util::Json encode_named(const std::vector<E>& value, NameOf<E> name) {
+  util::Json arr = util::Json::array();
+  for (E v : value) arr.push_back(name(v));
+  return arr;
+}
+
+// Decoders throw std::logic_error (as Json's typed accessors do) with the
+// bare problem; Reader prefixes the key path.
+
+void decode(const util::Json& v, double& out) { out = v.as_double(); }
+void decode(const util::Json& v, bool& out) { out = v.as_bool(); }
+void decode(const util::Json& v, std::string& out) { out = v.as_string(); }
+
+void decode(const util::Json& v, int& out) {
+  const long long raw = v.as_int();
+  if (raw < std::numeric_limits<int>::min() ||
+      raw > std::numeric_limits<int>::max()) {
+    throw std::logic_error("out of range");
+  }
+  out = static_cast<int>(raw);
+}
+
+std::uint64_t non_negative(const util::Json& v) {
+  const long long raw = v.as_int();
+  if (raw < 0) throw std::logic_error("negative");
+  return static_cast<std::uint64_t>(raw);
+}
+
+void decode(const util::Json& v, std::size_t& out) { out = non_negative(v); }
+
+std::vector<util::Json> elements(const util::Json& v) {
+  if (!v.is_array()) throw std::logic_error("expected array");
+  return v.elements();
+}
+
+void decode(const util::Json& v, std::vector<int>& out) {
+  out.clear();
+  for (const util::Json& e : elements(v)) decode(e, out.emplace_back());
+}
+
+std::uint64_t decode_seed(const util::Json& v) {
+  if (!v.is_string()) return non_negative(v);
+  // Strings are hex only with an explicit "0x" prefix (what the writer
+  // emits); a quoted decimal like "42" must not silently parse as 0x42.
+  const std::string& s = v.as_string();
+  std::string_view digits = s;
+  int base = 10;
+  if (digits.size() > 2 && digits.substr(0, 2) == "0x") {
+    digits.remove_prefix(2);
+    base = 16;
+  }
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(
+      digits.data(), digits.data() + digits.size(), value, base);
+  if (ec != std::errc() || ptr != digits.data() + digits.size() ||
+      digits.empty()) {
+    throw std::logic_error("bad seed \"" + s + "\"");
+  }
+  return value;
+}
+
+template <class E>
+void decode_named(const util::Json& v, E& out, FromName<E> from) {
+  out = from(v.as_string());
+}
+
+template <class E>
+void decode_named(const util::Json& v, std::vector<E>& out, FromName<E> from) {
+  out.clear();
+  for (const util::Json& e : elements(v)) decode_named(e, out.emplace_back(), from);
+}
+
+// ---------------------------------------------------------- struct codecs
+//
+// Each config struct names its fields once, in `fields(io)` below; the
+// same list drives the Writer and the Reader, so a key cannot be written
+// under one name and read under another.
+
+template <class T>
+util::Json write(const T& value, const T& def, bool all);
+template <class T>
+void read(const util::Json& j, T& out, const std::string& context);
 
 /// Writes one struct as a JSON object, emitting a field only when it
 /// differs from its default (or always, with include_defaults) — so saved
 /// scenarios read as "what this study changes about the paper setting".
+template <class T>
 class Writer {
  public:
-  explicit Writer(bool include_defaults)
-      : all_(include_defaults), j_(util::Json::object()) {}
+  Writer(const T& value, const T& def, bool all)
+      : value_(value), def_(def), all_(all) {}
 
-  template <typename T>
-  void field(const char* key, const T& value, const T& def) {
-    if (all_ || value != def) j_[key] = util::Json(value);
+  template <class M>
+  void field(const char* key, M T::*m) {
+    if (changed(m)) j_[key] = encode(value_.*m);
   }
 
-  void field_u64(const char* key, std::uint64_t value, std::uint64_t def) {
-    if (!all_ && value == def) return;
-    // Doubles hold integers exactly only up to 2^53; larger seeds (e.g.
-    // derive_seed outputs) go through a hex string.
-    if (value <= (1ULL << 53)) {
-      j_[key] = static_cast<long long>(value);
-    } else {
-      char buf[19];
-      std::snprintf(buf, sizeof(buf), "%llx",
-                    static_cast<unsigned long long>(value));
-      j_[key] = "0x" + std::string(buf);
-    }
+  void seed(const char* key, std::uint64_t T::*m) {
+    if (changed(m)) j_[key] = encode_seed(value_.*m);
   }
 
-  void field_ints(const char* key, const std::vector<int>& value,
-                  const std::vector<int>& def) {
-    if (!all_ && value == def) return;
-    util::Json arr = util::Json::array();
-    for (int v : value) arr.push_back(v);
-    j_[key] = arr;
-  }
-
-  void field_devices(const char* key, const std::vector<cim::DeviceType>& value,
-                     const std::vector<cim::DeviceType>& def) {
-    if (!all_ && value == def) return;
-    util::Json arr = util::Json::array();
-    for (cim::DeviceType d : value) arr.push_back(cim::device_name(d));
-    j_[key] = arr;
+  /// An enum, or a list of them, written by name.
+  template <class M, class E>
+  void named(const char* key, M T::*m, NameOf<E> name, FromName<E>) {
+    if (changed(m)) j_[key] = encode_named(value_.*m, name);
   }
 
   /// Nested struct; an all-defaults child (empty object) is omitted.
-  void child(const char* key, util::Json sub) {
+  template <class C>
+  void child(const char* key, C T::*m) {
+    util::Json sub = write(value_.*m, def_.*m, all_);
     if (all_ || sub.size() > 0) j_[key] = std::move(sub);
   }
 
   [[nodiscard]] util::Json take() { return std::move(j_); }
 
  private:
+  template <class M>
+  bool changed(M T::*m) const {
+    return all_ || value_.*m != def_.*m;
+  }
+
+  const T& value_;
+  const T& def_;
   bool all_;
-  util::Json j_;
+  util::Json j_ = util::Json::object();
 };
 
-/// Reads one struct from a JSON object: each getter consumes its key,
+/// Reads one struct from a JSON object: each field consumes its key,
 /// finish() rejects whatever was not consumed — the unknown-key guarantee.
+template <class T>
 class Reader {
  public:
-  Reader(const util::Json& j, std::string context)
-      : context_(std::move(context)) {
+  Reader(const util::Json& j, T& out, std::string context)
+      : out_(out), context_(std::move(context)) {
     if (!j.is_object()) {
       throw std::invalid_argument(context_ + ": expected a JSON object");
     }
@@ -89,85 +198,35 @@ class Reader {
     consumed_.assign(items_.size(), false);
   }
 
-  void number(const char* key, double& out) {
-    if (const util::Json* v = consume(key)) out = v->as_double();
+  template <class M>
+  void field(const char* key, M T::*m) {
+    decode_at(key, [&](const util::Json& v) { decode(v, out_.*m); });
   }
 
-  void integer(const char* key, int& out) {
-    if (const util::Json* v = consume(key)) out = static_cast<int>(v->as_int());
+  void seed(const char* key, std::uint64_t T::*m) {
+    decode_at(key, [&](const util::Json& v) { out_.*m = decode_seed(v); });
   }
 
-  void size(const char* key, std::size_t& out) {
-    if (const util::Json* v = consume(key)) {
-      const long long raw = v->as_int();
-      if (raw < 0) throw std::invalid_argument(context_ + "." + key + ": negative");
-      out = static_cast<std::size_t>(raw);
-    }
+  template <class M, class E>
+  void named(const char* key, M T::*m, NameOf<E>, FromName<E> from) {
+    decode_at(key, [&](const util::Json& v) { decode_named(v, out_.*m, from); });
   }
 
-  void boolean(const char* key, bool& out) {
-    if (const util::Json* v = consume(key)) out = v->as_bool();
+  template <class C>
+  void child(const char* key, C T::*m) {
+    if (const util::Json* v = consume(key)) read(*v, out_.*m, path(key));
   }
 
-  void str(const char* key, std::string& out) {
-    if (const util::Json* v = consume(key)) out = v->as_string();
-  }
-
-  void u64(const char* key, std::uint64_t& out) {
-    const util::Json* v = consume(key);
-    if (!v) return;
-    if (v->is_string()) {
-      // Strings are hex only with an explicit "0x" prefix (what the writer
-      // emits); a quoted decimal like "42" must not silently parse as 0x42.
-      const std::string& s = v->as_string();
-      std::string_view digits = s;
-      int base = 10;
-      if (digits.size() > 2 && digits.substr(0, 2) == "0x") {
-        digits.remove_prefix(2);
-        base = 16;
-      }
-      std::uint64_t value = 0;
-      const auto [ptr, ec] = std::from_chars(
-          digits.data(), digits.data() + digits.size(), value, base);
-      if (ec != std::errc() || ptr != digits.data() + digits.size() ||
-          digits.empty()) {
-        throw std::invalid_argument(context_ + "." + key + ": bad seed \"" +
-                                    s + "\"");
-      }
-      out = value;
-    } else {
-      const long long raw = v->as_int();
-      if (raw < 0) throw std::invalid_argument(context_ + "." + key + ": negative");
-      out = static_cast<std::uint64_t>(raw);
-    }
-  }
-
-  void ints(const char* key, std::vector<int>& out) {
-    if (const util::Json* v = consume(key)) {
-      if (!v->is_array()) {
-        throw std::invalid_argument(context_ + "." + key + ": expected array");
-      }
-      out.clear();
-      for (const util::Json& e : v->elements()) {
-        out.push_back(static_cast<int>(e.as_int()));
+  /// Marks `key` read and returns its value (nullptr when absent).
+  const util::Json* consume(const char* key) {
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      if (!consumed_[i] && items_[i].first == key) {
+        consumed_[i] = true;
+        return &items_[i].second;
       }
     }
+    return nullptr;
   }
-
-  void devices(const char* key, std::vector<cim::DeviceType>& out) {
-    if (const util::Json* v = consume(key)) {
-      if (!v->is_array()) {
-        throw std::invalid_argument(context_ + "." + key + ": expected array");
-      }
-      out.clear();
-      for (const util::Json& e : v->elements()) {
-        out.push_back(cim::device_from_name(e.as_string()));
-      }
-    }
-  }
-
-  /// Consumes and returns a nested object for a sub-struct parser.
-  [[nodiscard]] const util::Json* child(const char* key) { return consume(key); }
 
   void finish() const {
     std::string keys;
@@ -182,326 +241,186 @@ class Reader {
   }
 
  private:
-  const util::Json* consume(const char* key) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (!consumed_[i] && items_[i].first == key) {
-        consumed_[i] = true;
-        return &items_[i].second;
-      }
+  std::string path(const char* key) const { return context_ + "." + key; }
+
+  /// Decodes `key` when present. A decoder's std::logic_error gains the
+  /// key path; a name lookup's std::invalid_argument passes unchanged.
+  template <class Decode>
+  void decode_at(const char* key, Decode read_value) {
+    const util::Json* v = consume(key);
+    if (!v) return;
+    try {
+      read_value(*v);
+    } catch (const std::invalid_argument&) {
+      throw;
+    } catch (const std::logic_error& e) {
+      throw std::invalid_argument(path(key) + ": " + e.what());
     }
-    return nullptr;
   }
 
+  T& out_;
   std::string context_;
   std::vector<std::pair<std::string, util::Json>> items_;
   std::vector<bool> consumed_;
 };
 
-// --------------------------------------------------- per-struct round-trip
+// ------------------------------------------------------------- field lists
+//
+// One line per JSON key, in the order keys are written and read.
 
-util::Json backbone_to_json(const nn::BackboneOptions& b, bool all) {
-  const nn::BackboneOptions def;
-  Writer w(all);
-  w.field("input_channels", b.input_channels, def.input_channels);
-  w.field("input_size", b.input_size, def.input_size);
-  w.field("num_classes", b.num_classes, def.num_classes);
-  w.field("hidden", b.hidden, def.hidden);
-  w.field_ints("pool_after", b.pool_after, def.pool_after);
-  w.field("batch_norm", b.batch_norm, def.batch_norm);
+template <template <class> class Io>
+void fields(Io<nn::BackboneOptions>& io) {
+  using T = nn::BackboneOptions;
+  io.field("input_channels", &T::input_channels);
+  io.field("input_size", &T::input_size);
+  io.field("num_classes", &T::num_classes);
+  io.field("hidden", &T::hidden);
+  io.field("pool_after", &T::pool_after);
+  io.field("batch_norm", &T::batch_norm);
+}
+
+template <template <class> class Io>
+void fields(Io<cim::HardwareChoices>& io) {
+  using T = cim::HardwareChoices;
+  io.named("devices", &T::devices, cim::device_name, cim::device_from_name);
+  io.field("bits_per_cell", &T::bits_per_cell);
+  io.field("adc_bits", &T::adc_bits);
+  io.field("xbar_sizes", &T::xbar_sizes);
+  io.field("col_mux", &T::col_mux);
+}
+
+template <template <class> class Io>
+void fields(Io<search::SearchSpace::Options>& io) {
+  using T = search::SearchSpace::Options;
+  io.field("conv_layers", &T::conv_layers);
+  io.field("channel_choices", &T::channel_choices);
+  io.field("kernel_choices", &T::kernel_choices);
+  io.child("hardware", &T::hw);
+  io.child("backbone", &T::backbone);
+  io.field("area_budget_mm2", &T::area_budget_mm2);
+}
+
+template <template <class> class Io>
+void fields(Io<surrogate::AccuracyModel::Options>& io) {
+  using T = surrogate::AccuracyModel::Options;
+  io.field("base", &T::base);
+  io.field("amplitude", &T::amplitude);
+  io.field("width_coeff", &T::width_coeff);
+  io.field("kernel1_penalty", &T::kernel1_penalty);
+  io.field("kernel5_bonus", &T::kernel5_bonus);
+  io.field("kernel7_bonus", &T::kernel7_bonus);
+  io.field("shrink_penalty", &T::shrink_penalty);
+  io.field("jump_penalty", &T::jump_penalty);
+  io.field("saturation_scale", &T::saturation_scale);
+  io.field("variation_coeff", &T::variation_coeff);
+  io.field("injection_recovery", &T::injection_recovery);
+  io.field("adc_deficit_penalty", &T::adc_deficit_penalty);
+  io.field("luck_sigma", &T::luck_sigma);
+  io.field("floor", &T::floor);
+  io.seed("calibration_seed", &T::calibration_seed);
+}
+
+template <template <class> class Io>
+void fields(Io<cim::MapperOptions>& io) {
+  using T = cim::MapperOptions;
+  io.field("input_bits", &T::input_bits);
+  io.field("max_replication", &T::max_replication);
+  io.field("replication_area_fraction", &T::replication_area_fraction);
+}
+
+template <template <class> class Io>
+void fields(Io<cim::CostModelOptions>& io) {
+  using T = cim::CostModelOptions;
+  io.field("arrays_per_tile", &T::arrays_per_tile);
+  io.field("buffer_kb_per_tile", &T::buffer_kb_per_tile);
+  io.child("mapper", &T::mapper);
+}
+
+template <template <class> class Io>
+void fields(Io<SurrogateEvaluator::Options>& io) {
+  using T = SurrogateEvaluator::Options;
+  io.child("accuracy", &T::accuracy);
+  io.child("cost", &T::cost);
+  io.child("backbone", &T::backbone);
+  io.field("monte_carlo_samples", &T::monte_carlo_samples);
+  io.field("write_verify_fraction", &T::write_verify_fraction);
+  io.field("write_verify_sigma_scale", &T::write_verify_sigma_scale);
+  io.field("write_verify_pulses", &T::write_verify_pulses);
+}
+
+template <template <class> class Io>
+void fields(Io<data::SyntheticCifarOptions>& io) {
+  using T = data::SyntheticCifarOptions;
+  io.field("num_classes", &T::num_classes);
+  io.field("image_size", &T::image_size);
+  io.field("train_per_class", &T::train_per_class);
+  io.field("test_per_class", &T::test_per_class);
+  io.field("noise", &T::noise);
+  io.field("max_shift", &T::max_shift);
+  io.seed("seed", &T::seed);
+}
+
+template <template <class> class Io>
+void fields(Io<TrainedEvaluator::Options>& io) {
+  using T = TrainedEvaluator::Options;
+  io.child("dataset", &T::dataset);
+  io.child("backbone", &T::backbone);
+  io.child("cost", &T::cost);
+  io.field("epochs", &T::epochs);
+  io.field("monte_carlo_samples", &T::monte_carlo_samples);
+}
+
+template <template <class> class Io>
+void fields(Io<ExperimentConfig>& io) {
+  using T = ExperimentConfig;
+  io.named("objective", &T::objective, llm::objective_name,
+           llm::objective_from_name);
+  io.field("combined_reward", &T::combined_reward);
+  io.field("energy_weight", &T::energy_weight);
+  io.field("latency_weight", &T::latency_weight);
+  io.field("lcda_episodes", &T::lcda_episodes);
+  io.field("nacim_episodes", &T::nacim_episodes);
+  io.seed("seed", &T::seed);
+  io.child("space", &T::space);
+  io.named("evaluator_kind", &T::evaluator_kind, evaluator_kind_name,
+           evaluator_kind_from_name);
+  io.child("evaluator", &T::evaluator);
+  io.child("trained", &T::trained);
+  io.field("parallelism", &T::parallelism);
+  io.field("batch_size", &T::batch_size);
+  io.field("pipeline_depth", &T::pipeline_depth);
+  io.field("cache_evaluations", &T::cache_evaluations);
+  io.field("persistent_cache_dir", &T::persistent_cache_dir);
+  io.field("persistent_cache_max_entries", &T::persistent_cache_max_entries);
+  io.field("persistent_cache_max_bytes", &T::persistent_cache_max_bytes);
+  io.field("checkpoint_dir", &T::checkpoint_dir);
+  io.field("checkpoint_every", &T::checkpoint_every);
+  io.field("resume", &T::resume);
+}
+
+template <class T>
+util::Json write(const T& value, const T& def, bool all) {
+  Writer<T> w(value, def, all);
+  fields(w);
   return w.take();
 }
 
-void backbone_from_json(const util::Json& j, nn::BackboneOptions& b,
-                        const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("input_channels", b.input_channels);
-  r.integer("input_size", b.input_size);
-  r.integer("num_classes", b.num_classes);
-  r.integer("hidden", b.hidden);
-  r.ints("pool_after", b.pool_after);
-  r.boolean("batch_norm", b.batch_norm);
-  r.finish();
-}
-
-util::Json hw_choices_to_json(const cim::HardwareChoices& h, bool all) {
-  const cim::HardwareChoices def;
-  Writer w(all);
-  w.field_devices("devices", h.devices, def.devices);
-  w.field_ints("bits_per_cell", h.bits_per_cell, def.bits_per_cell);
-  w.field_ints("adc_bits", h.adc_bits, def.adc_bits);
-  w.field_ints("xbar_sizes", h.xbar_sizes, def.xbar_sizes);
-  w.field_ints("col_mux", h.col_mux, def.col_mux);
-  return w.take();
-}
-
-void hw_choices_from_json(const util::Json& j, cim::HardwareChoices& h,
-                          const std::string& ctx) {
-  Reader r(j, ctx);
-  r.devices("devices", h.devices);
-  r.ints("bits_per_cell", h.bits_per_cell);
-  r.ints("adc_bits", h.adc_bits);
-  r.ints("xbar_sizes", h.xbar_sizes);
-  r.ints("col_mux", h.col_mux);
-  r.finish();
-}
-
-util::Json space_to_json(const search::SearchSpace::Options& s, bool all) {
-  const search::SearchSpace::Options def;
-  Writer w(all);
-  w.field("conv_layers", s.conv_layers, def.conv_layers);
-  w.field_ints("channel_choices", s.channel_choices, def.channel_choices);
-  w.field_ints("kernel_choices", s.kernel_choices, def.kernel_choices);
-  w.child("hardware", hw_choices_to_json(s.hw, all));
-  w.child("backbone", backbone_to_json(s.backbone, all));
-  w.field("area_budget_mm2", s.area_budget_mm2, def.area_budget_mm2);
-  return w.take();
-}
-
-void space_from_json(const util::Json& j, search::SearchSpace::Options& s,
-                     const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("conv_layers", s.conv_layers);
-  r.ints("channel_choices", s.channel_choices);
-  r.ints("kernel_choices", s.kernel_choices);
-  if (const util::Json* c = r.child("hardware")) {
-    hw_choices_from_json(*c, s.hw, ctx + ".hardware");
-  }
-  if (const util::Json* c = r.child("backbone")) {
-    backbone_from_json(*c, s.backbone, ctx + ".backbone");
-  }
-  r.number("area_budget_mm2", s.area_budget_mm2);
-  r.finish();
-}
-
-util::Json accuracy_to_json(const surrogate::AccuracyModel::Options& a, bool all) {
-  const surrogate::AccuracyModel::Options def;
-  Writer w(all);
-  w.field("base", a.base, def.base);
-  w.field("amplitude", a.amplitude, def.amplitude);
-  w.field("width_coeff", a.width_coeff, def.width_coeff);
-  w.field("kernel1_penalty", a.kernel1_penalty, def.kernel1_penalty);
-  w.field("kernel5_bonus", a.kernel5_bonus, def.kernel5_bonus);
-  w.field("kernel7_bonus", a.kernel7_bonus, def.kernel7_bonus);
-  w.field("shrink_penalty", a.shrink_penalty, def.shrink_penalty);
-  w.field("jump_penalty", a.jump_penalty, def.jump_penalty);
-  w.field("saturation_scale", a.saturation_scale, def.saturation_scale);
-  w.field("variation_coeff", a.variation_coeff, def.variation_coeff);
-  w.field("injection_recovery", a.injection_recovery, def.injection_recovery);
-  w.field("adc_deficit_penalty", a.adc_deficit_penalty, def.adc_deficit_penalty);
-  w.field("luck_sigma", a.luck_sigma, def.luck_sigma);
-  w.field("floor", a.floor, def.floor);
-  w.field_u64("calibration_seed", a.calibration_seed, def.calibration_seed);
-  return w.take();
-}
-
-void accuracy_from_json(const util::Json& j, surrogate::AccuracyModel::Options& a,
-                        const std::string& ctx) {
-  Reader r(j, ctx);
-  r.number("base", a.base);
-  r.number("amplitude", a.amplitude);
-  r.number("width_coeff", a.width_coeff);
-  r.number("kernel1_penalty", a.kernel1_penalty);
-  r.number("kernel5_bonus", a.kernel5_bonus);
-  r.number("kernel7_bonus", a.kernel7_bonus);
-  r.number("shrink_penalty", a.shrink_penalty);
-  r.number("jump_penalty", a.jump_penalty);
-  r.number("saturation_scale", a.saturation_scale);
-  r.number("variation_coeff", a.variation_coeff);
-  r.number("injection_recovery", a.injection_recovery);
-  r.number("adc_deficit_penalty", a.adc_deficit_penalty);
-  r.number("luck_sigma", a.luck_sigma);
-  r.number("floor", a.floor);
-  r.u64("calibration_seed", a.calibration_seed);
-  r.finish();
-}
-
-util::Json cost_model_to_json(const cim::CostModelOptions& c, bool all) {
-  const cim::CostModelOptions def;
-  Writer w(all);
-  w.field("arrays_per_tile", c.arrays_per_tile, def.arrays_per_tile);
-  w.field("buffer_kb_per_tile", c.buffer_kb_per_tile, def.buffer_kb_per_tile);
-  Writer m(all);
-  m.field("input_bits", c.mapper.input_bits, def.mapper.input_bits);
-  m.field("max_replication", c.mapper.max_replication, def.mapper.max_replication);
-  m.field("replication_area_fraction", c.mapper.replication_area_fraction,
-          def.mapper.replication_area_fraction);
-  w.child("mapper", m.take());
-  return w.take();
-}
-
-void cost_model_from_json(const util::Json& j, cim::CostModelOptions& c,
-                          const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("arrays_per_tile", c.arrays_per_tile);
-  r.integer("buffer_kb_per_tile", c.buffer_kb_per_tile);
-  if (const util::Json* m = r.child("mapper")) {
-    Reader rm(*m, ctx + ".mapper");
-    rm.integer("input_bits", c.mapper.input_bits);
-    rm.integer("max_replication", c.mapper.max_replication);
-    rm.number("replication_area_fraction", c.mapper.replication_area_fraction);
-    rm.finish();
-  }
-  r.finish();
-}
-
-util::Json surrogate_to_json(const SurrogateEvaluator::Options& e, bool all) {
-  const SurrogateEvaluator::Options def;
-  Writer w(all);
-  w.child("accuracy", accuracy_to_json(e.accuracy, all));
-  w.child("cost", cost_model_to_json(e.cost, all));
-  w.child("backbone", backbone_to_json(e.backbone, all));
-  w.field("monte_carlo_samples", e.monte_carlo_samples, def.monte_carlo_samples);
-  w.field("write_verify_fraction", e.write_verify_fraction,
-          def.write_verify_fraction);
-  w.field("write_verify_sigma_scale", e.write_verify_sigma_scale,
-          def.write_verify_sigma_scale);
-  w.field("write_verify_pulses", e.write_verify_pulses, def.write_verify_pulses);
-  return w.take();
-}
-
-void surrogate_from_json(const util::Json& j, SurrogateEvaluator::Options& e,
-                         const std::string& ctx) {
-  Reader r(j, ctx);
-  if (const util::Json* c = r.child("accuracy")) {
-    accuracy_from_json(*c, e.accuracy, ctx + ".accuracy");
-  }
-  if (const util::Json* c = r.child("cost")) {
-    cost_model_from_json(*c, e.cost, ctx + ".cost");
-  }
-  if (const util::Json* c = r.child("backbone")) {
-    backbone_from_json(*c, e.backbone, ctx + ".backbone");
-  }
-  r.integer("monte_carlo_samples", e.monte_carlo_samples);
-  r.number("write_verify_fraction", e.write_verify_fraction);
-  r.number("write_verify_sigma_scale", e.write_verify_sigma_scale);
-  r.number("write_verify_pulses", e.write_verify_pulses);
-  r.finish();
-}
-
-util::Json dataset_to_json(const data::SyntheticCifarOptions& d, bool all) {
-  const data::SyntheticCifarOptions def;
-  Writer w(all);
-  w.field("num_classes", d.num_classes, def.num_classes);
-  w.field("image_size", d.image_size, def.image_size);
-  w.field("train_per_class", d.train_per_class, def.train_per_class);
-  w.field("test_per_class", d.test_per_class, def.test_per_class);
-  w.field("noise", d.noise, def.noise);
-  w.field("max_shift", d.max_shift, def.max_shift);
-  w.field_u64("seed", d.seed, def.seed);
-  return w.take();
-}
-
-void dataset_from_json(const util::Json& j, data::SyntheticCifarOptions& d,
-                       const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("num_classes", d.num_classes);
-  r.integer("image_size", d.image_size);
-  r.integer("train_per_class", d.train_per_class);
-  r.integer("test_per_class", d.test_per_class);
-  r.number("noise", d.noise);
-  r.integer("max_shift", d.max_shift);
-  r.u64("seed", d.seed);
-  r.finish();
-}
-
-util::Json trained_to_json(const TrainedEvaluator::Options& t, bool all) {
-  const TrainedEvaluator::Options def;
-  Writer w(all);
-  w.child("dataset", dataset_to_json(t.dataset, all));
-  w.child("backbone", backbone_to_json(t.backbone, all));
-  w.child("cost", cost_model_to_json(t.cost, all));
-  w.field("epochs", t.epochs, def.epochs);
-  w.field("monte_carlo_samples", t.monte_carlo_samples, def.monte_carlo_samples);
-  return w.take();
-}
-
-void trained_from_json(const util::Json& j, TrainedEvaluator::Options& t,
-                       const std::string& ctx) {
-  Reader r(j, ctx);
-  if (const util::Json* c = r.child("dataset")) {
-    dataset_from_json(*c, t.dataset, ctx + ".dataset");
-  }
-  if (const util::Json* c = r.child("backbone")) {
-    backbone_from_json(*c, t.backbone, ctx + ".backbone");
-  }
-  if (const util::Json* c = r.child("cost")) {
-    cost_model_from_json(*c, t.cost, ctx + ".cost");
-  }
-  r.integer("epochs", t.epochs);
-  r.integer("monte_carlo_samples", t.monte_carlo_samples);
+template <class T>
+void read(const util::Json& j, T& out, const std::string& context) {
+  Reader<T> r(j, out, context);
+  fields(r);
   r.finish();
 }
 
 }  // namespace
 
 util::Json config_to_json(const ExperimentConfig& config, bool include_defaults) {
-  const ExperimentConfig def;
-  Writer w(include_defaults);
-  w.field("objective", std::string(llm::objective_name(config.objective)),
-          std::string(llm::objective_name(def.objective)));
-  w.field("combined_reward", config.combined_reward, def.combined_reward);
-  w.field("energy_weight", config.energy_weight, def.energy_weight);
-  w.field("latency_weight", config.latency_weight, def.latency_weight);
-  w.field("lcda_episodes", config.lcda_episodes, def.lcda_episodes);
-  w.field("nacim_episodes", config.nacim_episodes, def.nacim_episodes);
-  w.field_u64("seed", config.seed, def.seed);
-  w.child("space", space_to_json(config.space, include_defaults));
-  w.field("evaluator_kind",
-          std::string(evaluator_kind_name(config.evaluator_kind)),
-          std::string(evaluator_kind_name(def.evaluator_kind)));
-  w.child("evaluator", surrogate_to_json(config.evaluator, include_defaults));
-  w.child("trained", trained_to_json(config.trained, include_defaults));
-  w.field("parallelism", config.parallelism, def.parallelism);
-  w.field("batch_size", config.batch_size, def.batch_size);
-  w.field("pipeline_depth", config.pipeline_depth, def.pipeline_depth);
-  w.field("cache_evaluations", config.cache_evaluations, def.cache_evaluations);
-  w.field("persistent_cache_dir", config.persistent_cache_dir,
-          def.persistent_cache_dir);
-  w.field("persistent_cache_max_entries", config.persistent_cache_max_entries,
-          def.persistent_cache_max_entries);
-  w.field("persistent_cache_max_bytes", config.persistent_cache_max_bytes,
-          def.persistent_cache_max_bytes);
-  w.field("checkpoint_dir", config.checkpoint_dir, def.checkpoint_dir);
-  w.field("checkpoint_every", config.checkpoint_every, def.checkpoint_every);
-  w.field("resume", config.resume, def.resume);
-  return w.take();
+  return write(config, ExperimentConfig{}, include_defaults);
 }
 
 ExperimentConfig config_from_json(const util::Json& j) {
   ExperimentConfig config;
-  Reader r(j, "config");
-  std::string objective(llm::objective_name(config.objective));
-  r.str("objective", objective);
-  config.objective = llm::objective_from_name(objective);
-  r.boolean("combined_reward", config.combined_reward);
-  r.number("energy_weight", config.energy_weight);
-  r.number("latency_weight", config.latency_weight);
-  r.integer("lcda_episodes", config.lcda_episodes);
-  r.integer("nacim_episodes", config.nacim_episodes);
-  r.u64("seed", config.seed);
-  if (const util::Json* c = r.child("space")) {
-    space_from_json(*c, config.space, "config.space");
-  }
-  std::string kind(evaluator_kind_name(config.evaluator_kind));
-  r.str("evaluator_kind", kind);
-  config.evaluator_kind = evaluator_kind_from_name(kind);
-  if (const util::Json* c = r.child("evaluator")) {
-    surrogate_from_json(*c, config.evaluator, "config.evaluator");
-  }
-  if (const util::Json* c = r.child("trained")) {
-    trained_from_json(*c, config.trained, "config.trained");
-  }
-  r.integer("parallelism", config.parallelism);
-  r.size("batch_size", config.batch_size);
-  r.size("pipeline_depth", config.pipeline_depth);
-  r.boolean("cache_evaluations", config.cache_evaluations);
-  r.str("persistent_cache_dir", config.persistent_cache_dir);
-  r.size("persistent_cache_max_entries", config.persistent_cache_max_entries);
-  r.size("persistent_cache_max_bytes", config.persistent_cache_max_bytes);
-  r.str("checkpoint_dir", config.checkpoint_dir);
-  r.integer("checkpoint_every", config.checkpoint_every);
-  r.boolean("resume", config.resume);
-  r.finish();
+  read(j, config, "config");
   return config;
 }
 
@@ -519,14 +438,13 @@ util::Json scenario_to_json(const Scenario& scenario, bool include_defaults) {
 
 Scenario scenario_from_json(const util::Json& j) {
   Scenario s;
-  Reader r(j, "scenario");
-  r.str("name", s.name);
-  r.str("summary", s.summary);
-  r.str("description", s.description);
-  std::string strategy(strategy_name(s.default_strategy));
-  r.str("default_strategy", strategy);
-  s.default_strategy = strategy_from_name(strategy);
-  if (const util::Json* c = r.child("config")) s.config = config_from_json(*c);
+  Reader<Scenario> r(j, s, "scenario");
+  r.field("name", &Scenario::name);
+  r.field("summary", &Scenario::summary);
+  r.field("description", &Scenario::description);
+  r.named("default_strategy", &Scenario::default_strategy, strategy_name,
+          strategy_from_name);
+  if (const util::Json* c = r.consume("config")) s.config = config_from_json(*c);
   r.finish();
   if (s.name.empty()) {
     throw std::invalid_argument("scenario_from_json: missing \"name\"");
@@ -889,33 +807,46 @@ std::vector<std::string> list_scenarios() {
   return names;
 }
 
+namespace {
+
+/// `config` without the engine knobs that provably never change a trace,
+/// and with the *default* budgets (run_strategy takes the real count as a
+/// parameter): the normalization both fingerprints start from.
+ExperimentConfig without_engine_knobs(ExperimentConfig config) {
+  const ExperimentConfig def;
+  config.parallelism = def.parallelism;
+  config.pipeline_depth = def.pipeline_depth;
+  config.cache_evaluations = def.cache_evaluations;
+  config.persistent_cache_dir = def.persistent_cache_dir;
+  config.persistent_cache_max_entries = def.persistent_cache_max_entries;
+  config.persistent_cache_max_bytes = def.persistent_cache_max_bytes;
+  config.lcda_episodes = def.lcda_episodes;
+  config.nacim_episodes = def.nacim_episodes;
+  return config;
+}
+
+}  // namespace
+
 std::uint64_t study_fingerprint(const ExperimentConfig& config,
                                 Strategy strategy, int episodes) {
-  // Engine knobs that provably never change a trace, and the *default*
-  // budgets (run_strategy takes the real count as a parameter), are
-  // normalized out so equivalent studies share cache files. The actual
-  // episode count stays in: a batched optimizer's final batch truncates
-  // at the budget, so a shorter run's RNG stream is not a prefix of a
-  // longer one's and the entries must not be shared.
-  ExperimentConfig canon = config;
-  const ExperimentConfig def;
-  canon.parallelism = def.parallelism;
-  canon.pipeline_depth = def.pipeline_depth;
-  canon.cache_evaluations = def.cache_evaluations;
-  canon.persistent_cache_dir = def.persistent_cache_dir;
-  canon.persistent_cache_max_entries = def.persistent_cache_max_entries;
-  canon.persistent_cache_max_bytes = def.persistent_cache_max_bytes;
-  canon.lcda_episodes = def.lcda_episodes;
-  canon.nacim_episodes = def.nacim_episodes;
+  // Equivalent studies share cache files. The actual episode count stays
+  // in: a batched optimizer's final batch truncates at the budget, so a
+  // shorter run's RNG stream is not a prefix of a longer one's and the
+  // entries must not be shared.
   // The checkpoint knobs are engine knobs too, and they postdate the v1
   // flat-JSON cache, whose file names this fingerprint still reproduces
   // (store migration): they are left out of the hashed text entirely.
+  // Their keys are the ones a config that changes only them writes.
+  ExperimentConfig checkpointed;
+  checkpointed.checkpoint_dir = "-";
+  checkpointed.checkpoint_every += 1;
+  checkpointed.resume = !checkpointed.resume;
+  const util::Json checkpoint_keys = config_to_json(checkpointed);
   util::Json hashed = util::Json::object();
   for (const auto& [key, value] :
-       config_to_json(canon, /*include_defaults=*/true).items()) {
-    if (key != "checkpoint_dir" && key != "checkpoint_every" && key != "resume") {
-      hashed[key] = value;
-    }
+       config_to_json(without_engine_knobs(config), /*include_defaults=*/true)
+           .items()) {
+    if (!checkpoint_keys.contains(key)) hashed[key] = value;
   }
   const std::string text = std::string(strategy_name(strategy)) + '/' +
                            std::to_string(episodes) + '\n' + hashed.dump();
@@ -924,22 +855,14 @@ std::uint64_t study_fingerprint(const ExperimentConfig& config,
 
 std::uint64_t evaluation_fingerprint(const ExperimentConfig& config) {
   // The study fingerprint's canonicalization, additionally normalizing the
-  // stream-shaping knobs (seed, batch size) and dropping strategy/episodes
-  // entirely: what remains — space, evaluator kind and options, noise and
-  // write-verify settings, reward shape — is exactly what determines an
-  // Evaluation's deterministic part, so sibling studies of a sweep land in
-  // one shared namespace. The tag keeps this hash disjoint from
-  // study_fingerprint's for identical configs.
-  ExperimentConfig canon = config;
+  // checkpoint knobs and the stream-shaping knobs (seed, batch size) and
+  // dropping strategy/episodes entirely: what remains — space, evaluator
+  // kind and options, noise and write-verify settings, reward shape — is
+  // exactly what determines an Evaluation's deterministic part, so sibling
+  // studies of a sweep land in one shared namespace. The tag keeps this
+  // hash disjoint from study_fingerprint's for identical configs.
+  ExperimentConfig canon = without_engine_knobs(config);
   const ExperimentConfig def;
-  canon.parallelism = def.parallelism;
-  canon.pipeline_depth = def.pipeline_depth;
-  canon.cache_evaluations = def.cache_evaluations;
-  canon.persistent_cache_dir = def.persistent_cache_dir;
-  canon.persistent_cache_max_entries = def.persistent_cache_max_entries;
-  canon.persistent_cache_max_bytes = def.persistent_cache_max_bytes;
-  canon.lcda_episodes = def.lcda_episodes;
-  canon.nacim_episodes = def.nacim_episodes;
   canon.checkpoint_dir = def.checkpoint_dir;
   canon.checkpoint_every = def.checkpoint_every;
   canon.resume = def.resume;

@@ -32,6 +32,42 @@ std::unique_ptr<util::ThreadPool> make_pool(const ExperimentConfig& config) {
 
 }  // namespace
 
+SeedSummary summarize_seed(const RunResult& run, double threshold) {
+  SeedSummary s;
+  s.running_max = run.reward_running_max();
+  s.final_best = run.best_reward();
+  s.cache_hits = run.cache_hits;
+  s.cache_misses = run.cache_misses;
+  s.persistent_hits = run.persistent_hits;
+  s.persistent_shared_hits = run.persistent_shared_hits;
+  s.persistent_skipped = run.persistent_skipped;
+  s.persistent_save_failures = run.persistent_save_failures;
+  s.resumed_episodes = run.resumed_episodes;
+  if (!std::isnan(threshold)) {
+    s.threshold_episode = run.episodes_to_reach(threshold);
+  }
+  return s;
+}
+
+void fold_seed(AggregateResult& agg, const SeedSummary& seed) {
+  for (std::size_t e = 0; e < agg.running_best.size(); ++e) {
+    agg.running_best[e].add(seed.running_max.at(e));
+  }
+  agg.final_best.add(seed.final_best);
+  agg.cache_hits += seed.cache_hits;
+  agg.cache_misses += seed.cache_misses;
+  agg.persistent_hits += seed.persistent_hits;
+  agg.persistent_shared_hits += seed.persistent_shared_hits;
+  agg.persistent_skipped += seed.persistent_skipped;
+  agg.persistent_save_failures += seed.persistent_save_failures;
+  agg.resumed_episodes += seed.resumed_episodes;
+  if (seed.threshold_episode >= 0) {
+    agg.episodes_to_threshold.add(
+        static_cast<double>(seed.threshold_episode) + 1.0);
+    ++agg.reached;
+  }
+}
+
 AggregateResult run_aggregate(Strategy strategy, int episodes, int seeds,
                               const ExperimentConfig& config, double threshold) {
   if (episodes <= 0 || seeds <= 0) {
@@ -62,26 +98,7 @@ AggregateResult run_aggregate(Strategy strategy, int episodes, int seeds,
       });
 
   for (const RunResult& run : runs) {
-    const auto rmax = run.reward_running_max();
-    for (int e = 0; e < episodes; ++e) {
-      agg.running_best[static_cast<std::size_t>(e)].add(
-          rmax[static_cast<std::size_t>(e)]);
-    }
-    agg.final_best.add(run.best_reward());
-    agg.cache_hits += run.cache_hits;
-    agg.cache_misses += run.cache_misses;
-    agg.persistent_hits += run.persistent_hits;
-    agg.persistent_shared_hits += run.persistent_shared_hits;
-    agg.persistent_skipped += run.persistent_skipped;
-    agg.persistent_save_failures += run.persistent_save_failures;
-    agg.resumed_episodes += run.resumed_episodes;
-    if (!std::isnan(threshold)) {
-      const int hit = run.episodes_to_reach(threshold);
-      if (hit >= 0) {
-        agg.episodes_to_threshold.add(static_cast<double>(hit) + 1.0);
-        ++agg.reached;
-      }
-    }
+    fold_seed(agg, summarize_seed(run, threshold));
   }
   return agg;
 }

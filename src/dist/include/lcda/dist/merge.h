@@ -67,6 +67,20 @@ struct MergedRun {
 [[nodiscard]] util::Json run_entry(MergedRun run);
 [[nodiscard]] MergedRun merged_run(const util::Json& entry);
 
+/// One aggregate-mode seed as a manifest entry (the worker's), and back:
+/// exactly the values core::fold_seed consumes. Doubles survive the JSON
+/// round trip bit-for-bit (shortest-round-trip formatting), which is what
+/// makes the merged AggregateResult byte-identical to the single-process
+/// one. `threshold_episode` travels only when `threshold` is not NaN.
+[[nodiscard]] util::Json aggregate_entry(int seed, const core::SeedSummary& s,
+                                         double threshold);
+[[nodiscard]] core::SeedSummary seed_summary(const util::Json& entry,
+                                             double threshold);
+
+/// One speedup-mode seed as a manifest entry, and back.
+[[nodiscard]] util::Json speedup_entry(int seed, const core::SpeedupReport& r);
+[[nodiscard]] core::SpeedupReport speedup_report(const util::Json& entry);
+
 /// Reassembles runs-mode payloads in canonical order — study-major (the
 /// planner's strategy order via study_slot), seeds ascending — the order
 /// the single-process CLI produces its runs in. `specs` is the full plan

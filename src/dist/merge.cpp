@@ -125,9 +125,8 @@ core::AggregateResult merge_aggregate(const std::vector<ShardSpec>& specs,
                                        all_positions(specs.size()),
                                        head.total_seeds);
 
-  // Replays core::run_aggregate's fold over the per-seed summaries, in
-  // canonical seed order. Keep the two in lockstep: any new AggregateResult
-  // field needs a manifest entry field and a line here.
+  // core::run_aggregate's own fold, over the per-seed summaries in
+  // canonical seed order.
   core::AggregateResult agg;
   agg.strategy = head.strategy;
   agg.episodes = head.episodes;
@@ -135,30 +134,13 @@ core::AggregateResult merge_aggregate(const std::vector<ShardSpec>& specs,
   agg.threshold = head.threshold;
   agg.running_best.resize(static_cast<std::size_t>(head.episodes));
   for (const auto& [seed, entry] : by_seed) {
-    const std::vector<util::Json> rmax = entry.at("running_max").elements();
-    if (rmax.size() != agg.running_best.size()) {
+    const core::SeedSummary summary = seed_summary(entry, head.threshold);
+    if (summary.running_max.size() != agg.running_best.size()) {
       throw std::runtime_error("merge_aggregate: seed " +
                                std::to_string(seed) +
                                " has a wrong-length running_max");
     }
-    for (std::size_t e = 0; e < rmax.size(); ++e) {
-      agg.running_best[e].add(rmax[e].as_double());
-    }
-    agg.final_best.add(entry.at("final_best").as_double());
-    agg.cache_hits += entry.at("cache_hits").as_int();
-    agg.cache_misses += entry.at("cache_misses").as_int();
-    agg.persistent_hits += entry.at("persistent_hits").as_int();
-    agg.persistent_shared_hits += entry.at("persistent_shared_hits").as_int();
-    agg.persistent_skipped += entry.at("persistent_skipped").as_int();
-    agg.persistent_save_failures +=
-        entry.at("persistent_save_failures").as_int();
-    if (!std::isnan(head.threshold)) {
-      const int hit = static_cast<int>(entry.at("threshold_episode").as_int());
-      if (hit >= 0) {
-        agg.episodes_to_threshold.add(static_cast<double>(hit) + 1.0);
-        ++agg.reached;
-      }
-    }
+    core::fold_seed(agg, summary);
   }
   return agg;
 }
@@ -180,16 +162,68 @@ std::vector<core::SpeedupReport> merge_speedup(
 
   std::vector<core::SpeedupReport> out;
   out.reserve(by_seed.size());
-  for (const auto& [seed, entry] : by_seed) {
-    core::SpeedupReport r;
-    r.threshold = entry.at("threshold").as_double();
-    r.lcda_episodes = static_cast<int>(entry.at("lcda_episodes").as_int());
-    r.nacim_episodes = static_cast<int>(entry.at("nacim_episodes").as_int());
-    r.lcda_best = entry.at("lcda_best").as_double();
-    r.nacim_best = entry.at("nacim_best").as_double();
-    out.push_back(r);
-  }
+  for (const auto& by : by_seed) out.push_back(speedup_report(by.second));
   return out;
+}
+
+util::Json aggregate_entry(int seed, const core::SeedSummary& s,
+                           double threshold) {
+  util::Json e = util::Json::object();
+  e["seed"] = seed;
+  e["final_best"] = s.final_best;
+  util::Json rmax = util::Json::array();
+  for (double r : s.running_max) rmax.push_back(r);
+  e["running_max"] = rmax;
+  e["cache_hits"] = static_cast<long long>(s.cache_hits);
+  e["cache_misses"] = static_cast<long long>(s.cache_misses);
+  e["persistent_hits"] = static_cast<long long>(s.persistent_hits);
+  e["persistent_shared_hits"] =
+      static_cast<long long>(s.persistent_shared_hits);
+  e["persistent_skipped"] = static_cast<long long>(s.persistent_skipped);
+  e["persistent_save_failures"] =
+      static_cast<long long>(s.persistent_save_failures);
+  if (!std::isnan(threshold)) e["threshold_episode"] = s.threshold_episode;
+  return e;
+}
+
+core::SeedSummary seed_summary(const util::Json& entry, double threshold) {
+  core::SeedSummary s;
+  for (const util::Json& r : entry.at("running_max").elements()) {
+    s.running_max.push_back(r.as_double());
+  }
+  s.final_best = entry.at("final_best").as_double();
+  s.cache_hits = entry.at("cache_hits").as_int();
+  s.cache_misses = entry.at("cache_misses").as_int();
+  s.persistent_hits = entry.at("persistent_hits").as_int();
+  s.persistent_shared_hits = entry.at("persistent_shared_hits").as_int();
+  s.persistent_skipped = entry.at("persistent_skipped").as_int();
+  s.persistent_save_failures = entry.at("persistent_save_failures").as_int();
+  if (!std::isnan(threshold)) {
+    s.threshold_episode =
+        static_cast<int>(entry.at("threshold_episode").as_int());
+  }
+  return s;
+}
+
+util::Json speedup_entry(int seed, const core::SpeedupReport& r) {
+  util::Json e = util::Json::object();
+  e["seed"] = seed;
+  e["threshold"] = r.threshold;
+  e["lcda_episodes"] = r.lcda_episodes;
+  e["nacim_episodes"] = r.nacim_episodes;
+  e["lcda_best"] = r.lcda_best;
+  e["nacim_best"] = r.nacim_best;
+  return e;
+}
+
+core::SpeedupReport speedup_report(const util::Json& entry) {
+  core::SpeedupReport r;
+  r.threshold = entry.at("threshold").as_double();
+  r.lcda_episodes = static_cast<int>(entry.at("lcda_episodes").as_int());
+  r.nacim_episodes = static_cast<int>(entry.at("nacim_episodes").as_int());
+  r.lcda_best = entry.at("lcda_best").as_double();
+  r.nacim_best = entry.at("nacim_best").as_double();
+  return r;
 }
 
 MergedRun run_record(int seed, const std::string& label,

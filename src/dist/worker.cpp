@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -36,44 +35,6 @@ namespace {
 constexpr std::string_view kResultFormat = "lcda-shard-result-v1";
 
 std::string hex64(std::uint64_t v) { return "0x" + util::hex_u64(v); }
-
-/// One aggregate-mode seed summary: exactly the per-seed values
-/// core::run_aggregate's fold consumes, so the merger can replay that fold
-/// in canonical seed order. Doubles survive the JSON round trip bit-for-bit
-/// (shortest-round-trip formatting), which is what makes the merged
-/// AggregateResult byte-identical to the single-process one.
-util::Json aggregate_entry(int seed, const core::RunResult& run,
-                           double threshold) {
-  util::Json e = util::Json::object();
-  e["seed"] = seed;
-  e["final_best"] = run.best_reward();
-  util::Json rmax = util::Json::array();
-  for (double r : run.reward_running_max()) rmax.push_back(r);
-  e["running_max"] = rmax;
-  e["cache_hits"] = static_cast<long long>(run.cache_hits);
-  e["cache_misses"] = static_cast<long long>(run.cache_misses);
-  e["persistent_hits"] = static_cast<long long>(run.persistent_hits);
-  e["persistent_shared_hits"] =
-      static_cast<long long>(run.persistent_shared_hits);
-  e["persistent_skipped"] = static_cast<long long>(run.persistent_skipped);
-  e["persistent_save_failures"] =
-      static_cast<long long>(run.persistent_save_failures);
-  if (!std::isnan(threshold)) {
-    e["threshold_episode"] = run.episodes_to_reach(threshold);
-  }
-  return e;
-}
-
-util::Json speedup_entry(int seed, const core::SpeedupReport& r) {
-  util::Json e = util::Json::object();
-  e["seed"] = seed;
-  e["threshold"] = r.threshold;
-  e["lcda_episodes"] = r.lcda_episodes;
-  e["nacim_episodes"] = r.nacim_episodes;
-  e["lcda_best"] = r.lcda_best;
-  e["nacim_best"] = r.nacim_best;
-  return e;
-}
 
 /// Atomic publication, same discipline as the persistent cache: a
 /// coordinator or a human inspecting the shard directory never sees a
@@ -197,7 +158,8 @@ util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
             evaluator);
         store_total += run.store;
         resumed_total += run.resumed_episodes;
-        entries.push_back(aggregate_entry(s, run, spec.threshold));
+        entries.push_back(aggregate_entry(
+            s, core::summarize_seed(run, spec.threshold), spec.threshold));
       });
       break;
     }

@@ -129,6 +129,12 @@ INSTANTIATE_TEST_SUITE_P(
                   "unknown scenario"},
         Rejection{"unknown_override", {kPaper, "--set", "bogus.key=1"}, 1,
                   "unknown key \"bogus.key\""},
+        Rejection{"override_out_of_range",
+                  {kPaper, "--set", "space.conv_layers=4294967300",
+                   "--print-config"},
+                  1, "config.space.conv_layers: out of range"},
+        Rejection{"override_wrong_type", {kPaper, "--set", "seed=true"}, 1,
+                  "config.seed: Json::as_double: not a number"},
         Rejection{"unknown_strategy", {kPaper, "--strategy=lcda,nosuch"}, 1,
                   "unknown strategy \"nosuch\""},
         // Usage errors (exit 2).

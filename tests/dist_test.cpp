@@ -438,6 +438,50 @@ TEST(Merge, SpeedupIsByteIdenticalToSingleProcess) {
             core::speedup_study_to_json(reference).dump(2));
 }
 
+TEST(Merge, AggregateAndSpeedupEntriesRoundTrip) {
+  core::SeedSummary s;
+  s.running_max = {-1.0, 0.1, 1.0 / 3.0};
+  s.final_best = 1.0 / 3.0;
+  s.cache_hits = 1;
+  s.cache_misses = 2;
+  s.persistent_hits = 3;
+  s.persistent_shared_hits = 4;
+  s.persistent_skipped = 5;
+  s.persistent_save_failures = 6;
+  s.threshold_episode = 2;
+  const auto same = [](const core::SeedSummary& a, const core::SeedSummary& b) {
+    return a.running_max == b.running_max && a.final_best == b.final_best &&
+           a.cache_hits == b.cache_hits && a.cache_misses == b.cache_misses &&
+           a.persistent_hits == b.persistent_hits &&
+           a.persistent_shared_hits == b.persistent_shared_hits &&
+           a.persistent_skipped == b.persistent_skipped &&
+           a.persistent_save_failures == b.persistent_save_failures &&
+           a.threshold_episode == b.threshold_episode;
+  };
+  const util::Json entry = dist::aggregate_entry(7, s, 0.2);
+  EXPECT_EQ(entry.at("seed").as_int(), 7);
+  EXPECT_TRUE(same(dist::seed_summary(entry, 0.2), s));
+  // Without a threshold the episode neither travels nor comes back.
+  const util::Json bare = dist::aggregate_entry(7, s, NAN);
+  EXPECT_FALSE(bare.contains("threshold_episode"));
+  s.threshold_episode = -1;
+  EXPECT_TRUE(same(dist::seed_summary(bare, NAN), s));
+
+  core::SpeedupReport r;
+  r.threshold = 0.4;
+  r.lcda_episodes = 9;
+  r.nacim_episodes = 120;
+  r.lcda_best = 0.45;
+  r.nacim_best = 1.0 / 7.0;
+  const core::SpeedupReport back =
+      dist::speedup_report(dist::speedup_entry(3, r));
+  EXPECT_EQ(back.threshold, r.threshold);
+  EXPECT_EQ(back.lcda_episodes, r.lcda_episodes);
+  EXPECT_EQ(back.nacim_episodes, r.nacim_episodes);
+  EXPECT_EQ(back.lcda_best, r.lcda_best);
+  EXPECT_EQ(back.nacim_best, r.nacim_best);
+}
+
 TEST(Merge, RunsModeReassemblesTracesVerbatim) {
   core::Scenario scenario = small_scenario();
   // Reference: the CLI's plain path — seed offsets, labels, CSV.

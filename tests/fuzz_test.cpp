@@ -4,9 +4,10 @@
 // an uncontrolled LLM in production. The binary store segment decoder and
 // the checkpoint journal reader get seeded mutation fuzzing too: damaged
 // files must be rejected cleanly or serve only records whose checksum
-// verifies. So do the decoders of what the distributed runner's processes
-// send each other: shard specs and worker command/reply lines must be
-// rejected cleanly or decode to a value that round-trips.
+// verifies. The decoders of what the distributed runner's processes send
+// each other (shard specs, worker command/reply lines) and the scenario
+// JSON decoder get seeded mutants too: each must be rejected cleanly or
+// decode to a value that round-trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "lcda/ckpt/checkpoint.h"
+#include "lcda/core/scenario.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/dist/shard.h"
 #include "lcda/llm/parser.h"
@@ -803,6 +805,68 @@ TEST_P(ShardSpecFuzz, WorkerLinesAreRejectedOrRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSpecFuzz, ::testing::Values(41, 42, 43));
+
+// ----------------------------------------------------------- scenario JSON
+
+/// The sparse and full dumps of every registered scenario, plus one whose
+/// seed takes the hex-string form.
+std::vector<std::string> real_scenario_documents() {
+  std::vector<core::Scenario> scenarios;
+  for (const std::string& name : core::list_scenarios()) {
+    scenarios.push_back(core::scenario_by_name(name));
+  }
+  scenarios.push_back(core::scenario_by_name("trained-small"));
+  scenarios.back().config.seed = 0xdeadbeefcafef00dULL;
+  std::vector<std::string> docs;
+  for (const core::Scenario& s : scenarios) {
+    docs.push_back(core::scenario_to_json(s).dump());
+    docs.push_back(core::scenario_to_json(s, /*include_defaults=*/true).dump());
+  }
+  return docs;
+}
+
+class ScenarioFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ScenarioFuzz, MutantsAreRejectedOrRoundTrip) {
+  util::Rng rng(GetParam());
+  const std::vector<std::string> docs = real_scenario_documents();
+  const auto full_dump = [](const core::Scenario& s) {
+    return core::scenario_to_json(s, /*include_defaults=*/true).dump();
+  };
+  int rejected = 0;
+  constexpr int kCases = 300;
+  for (int i = 0; i < kCases; ++i) {
+    std::string text = docs[rng.index(docs.size())];
+    if (i > 0 && rng.chance(0.5)) {
+      text = mutate_tree(rng, util::Json::parse(text)).dump();
+    } else if (i > 0) {
+      mutate_text(rng, text);
+    }
+    core::Scenario scenario;
+    try {
+      scenario = core::scenario_from_json(util::Json::parse(text));
+    } catch (const std::exception&) {
+      ++rejected;
+      EXPECT_GT(i, 0) << "a real scenario must decode";
+      continue;
+    } catch (...) {
+      ADD_FAILURE() << "case " << i << ": not a std::exception";
+      continue;
+    }
+    // Whatever decodes has a full dump that decodes to the same dump, and
+    // its sparse dump decodes to the same scenario.
+    const std::string full = full_dump(scenario);
+    EXPECT_EQ(full_dump(core::scenario_from_json(util::Json::parse(full))), full)
+        << "case " << i;
+    const util::Json sparse = core::scenario_to_json(scenario);
+    EXPECT_EQ(full_dump(core::scenario_from_json(sparse)), full) << "case " << i;
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(rejected, kCases / 4);
+  EXPECT_LT(rejected, kCases);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioFuzz, ::testing::Values(51, 52, 53));
 
 }  // namespace
 }  // namespace lcda

@@ -82,6 +82,145 @@ TEST(ConfigJson, FullDumpRoundTripsToo) {
   EXPECT_EQ(canonical(back), canonical(config));
 }
 
+/// A scenario in which every header key and every config field holds a
+/// value other than its default.
+core::Scenario every_field_changed() {
+  core::Scenario s;
+  s.name = "every-field";
+  s.summary = "each key set";
+  s.description = "pins the full encoding";
+  s.default_strategy = core::Strategy::kNsga2;
+  core::ExperimentConfig& c = s.config;
+  c.objective = llm::Objective::kLatency;
+  c.combined_reward = true;
+  c.energy_weight = 0.25;
+  c.latency_weight = 1.5;
+  c.lcda_episodes = 21;
+  c.nacim_episodes = 501;
+  c.seed = 0xdeadbeefcafef00dULL;  // > 2^53: the hex-string form
+  c.space.conv_layers = 5;
+  c.space.channel_choices = {8, 16};
+  c.space.kernel_choices = {3};
+  c.space.hw.devices = {cim::DeviceType::kSram, cim::DeviceType::kFefet};
+  c.space.hw.bits_per_cell = {2};
+  c.space.hw.adc_bits = {6, 8};
+  c.space.hw.xbar_sizes = {128};
+  c.space.hw.col_mux = {8};
+  const auto change_backbone = [](nn::BackboneOptions& b, int hidden) {
+    b.input_channels = 1;
+    b.input_size = 28;
+    b.num_classes = 7;
+    b.hidden = hidden;
+    b.pool_after = {0, 2};
+    b.batch_norm = true;
+  };
+  const auto change_cost = [](cim::CostModelOptions& cost, int arrays) {
+    cost.arrays_per_tile = arrays;
+    cost.buffer_kb_per_tile = 32;
+    cost.mapper.input_bits = 4;
+    cost.mapper.max_replication = 2;
+    cost.mapper.replication_area_fraction = 0.5;
+  };
+  change_backbone(c.space.backbone, 512);
+  c.space.area_budget_mm2 = 33.5;
+  surrogate::AccuracyModel::Options& a = c.evaluator.accuracy;
+  a.base += 0.01;
+  a.amplitude += 0.01;
+  a.width_coeff += 0.01;
+  a.kernel1_penalty += 0.01;
+  a.kernel5_bonus += 0.01;
+  a.kernel7_bonus += 0.01;
+  a.shrink_penalty += 0.01;
+  a.jump_penalty += 0.01;
+  a.saturation_scale += 0.01;
+  a.variation_coeff += 0.01;
+  a.injection_recovery += 0.01;
+  a.adc_deficit_penalty += 0.01;
+  a.luck_sigma += 0.01;
+  a.floor += 0.01;
+  a.calibration_seed = 7;
+  change_cost(c.evaluator.cost, 8);
+  change_backbone(c.evaluator.backbone, 256);
+  c.evaluator.monte_carlo_samples = 3;
+  c.evaluator.write_verify_fraction = 0.2;
+  c.evaluator.write_verify_sigma_scale = 0.3;
+  c.evaluator.write_verify_pulses = 4.0;
+  c.evaluator_kind = core::EvaluatorKind::kTrained;
+  c.trained.dataset.num_classes = 4;
+  c.trained.dataset.image_size = 8;
+  c.trained.dataset.train_per_class = 5;
+  c.trained.dataset.test_per_class = 3;
+  c.trained.dataset.noise = 0.125;
+  c.trained.dataset.max_shift = 1;
+  c.trained.dataset.seed = 99;
+  change_backbone(c.trained.backbone, 128);
+  change_cost(c.trained.cost, 4);
+  c.trained.epochs = 2;
+  c.trained.monte_carlo_samples = 2;
+  c.parallelism = 3;
+  c.batch_size = 4;
+  c.pipeline_depth = 2;
+  c.cache_evaluations = false;
+  c.persistent_cache_dir = "cache";
+  c.persistent_cache_max_entries = 10;
+  c.persistent_cache_max_bytes = 4096;
+  c.checkpoint_dir = "ckpt";
+  c.checkpoint_every = 5;
+  c.resume = true;
+  return s;
+}
+
+TEST(ConfigJson, BuiltinScenarioDumpsArePinned) {
+  // fnv1a64 of the sparse and the full dump, then the study and evaluation
+  // fingerprints: these bytes feed shard-spec checksums and every store
+  // and checkpoint key, so a codec change must reproduce them exactly.
+  std::vector<core::Scenario> scenarios;
+  for (const char* name :
+       {"deep-backbone", "finetuned", "high-variation", "multi-objective",
+        "naive", "paper-energy", "paper-latency", "tight-area",
+        "trained-small"}) {
+    scenarios.push_back(core::scenario_by_name(name));
+  }
+  scenarios.push_back(every_field_changed());
+  std::string table;
+  for (const core::Scenario& s : scenarios) {
+    const auto hash = [](const util::Json& j) {
+      return util::hex_u64(util::fnv1a64(j.dump()));
+    };
+    table += s.name + ' ' + hash(core::scenario_to_json(s)) + ' ' +
+             hash(core::scenario_to_json(s, /*include_defaults=*/true)) + ' ' +
+             util::hex_u64(core::study_fingerprint(s.config,
+                                                   core::Strategy::kLcda, 20)) +
+             ' ' + util::hex_u64(core::evaluation_fingerprint(s.config)) + '\n';
+  }
+  EXPECT_EQ(table,
+            "deep-backbone 5836910ac889c84e 44d2d64a8fe1376a b9cc281990ab53c7 "
+            "0a22cb03b4d794ec\n"
+            "finetuned c50c4b3c735c2b7d 5b180e41e1bf322f 9daf27c4be263c55 "
+            "014a8540fb8a0e70\n"
+            "high-variation 63f47fcb573af4c3 c81abc2bf5144217 943fe253d68f48bd "
+            "107aa0decca7a210\n"
+            "multi-objective 05ff99d087cc39a7 7874c661dea55d7a 05c0749705ced4f6 "
+            "8029284de618c471\n"
+            "naive ab0a6753256f4e1b 5039067985b626d0 283cc86d1565fcdb "
+            "5701058edc09554c\n"
+            "paper-energy 0a729cfc8ea9c465 2560dcf5447e152e 283cc86d1565fcdb "
+            "5701058edc09554c\n"
+            "paper-latency b754dec9eb01a02f c5a150205e01c089 9daf27c4be263c55 "
+            "014a8540fb8a0e70\n"
+            "tight-area 8fb65a6eece1feca d12d382a66757d93 ca642814f2cba901 "
+            "0b9bb0bc7d26b44e\n"
+            "trained-small ae60e3923f8ec198 8d77d7c1407515e3 940cf248d1023721 "
+            "df0d3b6f0a83da12\n"
+            "every-field b20e90a29257fc88 b20e90a29257fc88 b393f8d056533dc3 "
+            "719ee5e751a55a50\n");
+  // Every field of the changed scenario really differs from its default:
+  // its sparse dump is its full dump.
+  const core::Scenario changed = every_field_changed();
+  EXPECT_EQ(core::scenario_to_json(changed).dump(),
+            core::scenario_to_json(changed, /*include_defaults=*/true).dump());
+}
+
 TEST(ConfigJson, LargeSeedsRoundTripThroughHexStrings) {
   core::ExperimentConfig config;
   config.seed = 0xdeadbeefcafef00dULL;  // > 2^53
@@ -128,6 +267,53 @@ TEST(ConfigJson, BadEnumValuesAreRejected) {
   EXPECT_THROW((void)core::config_from_json(util::Json::parse(
                    R"({"space":{"hardware":{"devices":["MRAM"]}}})")),
                std::invalid_argument);
+}
+
+TEST(ConfigJson, BadValuesAreRejectedNamingTheirPath) {
+  // Integers that do not fit their member are refused rather than wrapped
+  // (4294967300 once read as 4), and a value of the wrong type names the
+  // key it was read from.
+  const std::vector<std::pair<const char*, const char*>> rows = {
+      {R"({"space":{"conv_layers":4294967300}})",
+       "config.space.conv_layers: out of range"},
+      {R"({"space":{"conv_layers":-2147483649}})",
+       "config.space.conv_layers: out of range"},
+      {R"({"space":{"channel_choices":[16,4294967312]}})",
+       "config.space.channel_choices: out of range"},
+      {R"({"evaluator":{"cost":{"mapper":{"input_bits":1e10}}}})",
+       "config.evaluator.cost.mapper.input_bits: out of range"},
+      {R"({"seed":true})", "config.seed: Json::as_double: not a number"},
+      {R"({"seed":-1})", "config.seed: negative"},
+      {R"({"seed":"fast"})", "config.seed: bad seed \"fast\""},
+      {R"({"batch_size":-1})", "config.batch_size: negative"},
+      {R"({"lcda_episodes":2.5})",
+       "config.lcda_episodes: Json::as_int: not an integral number"},
+      {R"({"resume":1})", "config.resume: Json::as_bool: not a bool"},
+      {R"({"objective":3})", "config.objective: Json::as_string: not a string"},
+      {R"({"space":{"kernel_choices":3}})",
+       "config.space.kernel_choices: expected array"},
+      {R"({"space":{"hardware":{"devices":["RRAM",1]}}})",
+       "config.space.hardware.devices: Json::as_string: not a string"},
+      {R"({"trained":{"dataset":5}})",
+       "config.trained.dataset: expected a JSON object"},
+  };
+  for (const auto& [doc, message] : rows) {
+    try {
+      (void)core::config_from_json(util::Json::parse(doc));
+      ADD_FAILURE() << doc << " decoded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message) << doc;
+    }
+  }
+  // The extremes of int still decode.
+  EXPECT_EQ(core::config_from_json(util::Json::parse(
+                                       R"({"space":{"conv_layers":-2147483648}})"))
+                .space.conv_layers,
+            -2147483647 - 1);
+  EXPECT_EQ(core::config_from_json(util::Json::parse(
+                                       R"({"checkpoint_every":2147483647})"))
+                .checkpoint_every,
+            2147483647);
 }
 
 // --------------------------------------------------------------- overrides
