@@ -3,8 +3,12 @@
 // 500-episode baseline runs and bound the cost of each pipeline stage.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "lcda/cim/cost_model.h"
 #include "lcda/core/scenario.h"
+#include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt.h"
 #include "lcda/llm/simulated_gpt4.h"
@@ -103,15 +107,19 @@ void BM_EvaluateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateBatch)->Arg(8);
 
+// The prompt as LlmOptimizer assembles it: history lines rendered once (in
+// feedback), so a turn only joins the header, the window and the footer.
 void BM_PromptBuild(benchmark::State& state) {
   llm::PromptBuilder builder{search::SearchSpace{paper_config().space}, {}};
-  std::vector<llm::HistoryEntry> history(static_cast<std::size_t>(state.range(0)));
-  for (auto& h : history) {
+  std::vector<std::string> lines(static_cast<std::size_t>(state.range(0)));
+  for (auto& line : lines) {
+    llm::HistoryEntry h;
     h.design.rollout = kRollout;
     h.performance = 0.4;
+    line = llm::PromptBuilder::history_line(h);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(builder.build(history));
+    benchmark::DoNotOptimize(builder.build_from_lines(lines));
   }
 }
 BENCHMARK(BM_PromptBuild)->Arg(0)->Arg(20)->Arg(64);
@@ -128,20 +136,54 @@ void BM_ResponseParse(benchmark::State& state) {
 }
 BENCHMARK(BM_ResponseParse);
 
+// One cold turn: a fresh model (and so an empty prompt-line memo) reads a
+// prompt of distinct history lines. BM_LcdaTurn times the warm steady state.
 void BM_SimulatedGpt4Turn(benchmark::State& state) {
-  llm::SimulatedGpt4 gpt;
   llm::PromptBuilder builder{search::SearchSpace{paper_config().space}, {}};
   std::vector<llm::HistoryEntry> history(static_cast<std::size_t>(state.range(0)));
-  for (auto& h : history) {
-    h.design.rollout = kRollout;
-    h.performance = 0.4;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    history[i].design.rollout = kRollout;
+    history[i].performance = 0.4 + 1e-3 * static_cast<double>(i);
   }
   const llm::ChatRequest req = builder.build(history);
   for (auto _ : state) {
+    llm::SimulatedGpt4 gpt;
     benchmark::DoNotOptimize(gpt.complete(req));
   }
 }
 BENCHMARK(BM_SimulatedGpt4Turn)->Arg(0)->Arg(20)->Arg(64);
+
+// One Algorithm-1 turn as perfbench's lcda-paper runs it: LlmOptimizer
+// propose + feedback with a full history window (max_history = the arg)
+// and a new history line on every turn. The optimizer is rebuilt every 512
+// turns, off the clock, to keep its transcript small.
+void BM_LcdaTurn(benchmark::State& state) {
+  const search::SearchSpace space(paper_config().space);
+  llm::LlmOptimizer::Options opts;
+  opts.prompt.max_history = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<llm::LlmOptimizer> opt;
+  util::Rng rng(3);
+  std::uint64_t step = 0;
+  const auto observe = [&](search::Design design) {
+    search::Observation obs;
+    obs.design = std::move(design);
+    // Distinct in its 6 printed digits across any window: a new line.
+    obs.reward = 0.25 + 1e-5 * static_cast<double>(step++ % 65536);
+    opt->feedback(obs);
+  };
+  int turns = 0;
+  for (auto _ : state) {
+    if (turns++ % 512 == 0) {
+      state.PauseTiming();
+      opt = std::make_unique<llm::LlmOptimizer>(
+          space, std::make_shared<llm::SimulatedGpt4>(), opts);
+      for (int i = 0; i <= state.range(0); ++i) observe(space.sample(rng));
+      state.ResumeTiming();
+    }
+    observe(opt->propose(rng));
+  }
+}
+BENCHMARK(BM_LcdaTurn)->Arg(64);
 
 void BM_RlProposeFeedback(benchmark::State& state) {
   search::RlOptimizer rl{search::SearchSpace{paper_config().space}};

@@ -41,14 +41,20 @@ util::Json encode(const std::vector<int>& value) {
   return arr;
 }
 
-/// Doubles hold integers exactly only up to 2^53; larger seeds (e.g.
-/// derive_seed outputs) go through a hex string.
-util::Json encode_seed(std::uint64_t value) {
-  if (value <= (1ULL << 53)) return static_cast<long long>(value);
+/// Doubles hold every integer below 2^53 exactly; from 2^53 up the JSON
+/// parser may already have rounded a decimal (9007199254740993 reads as
+/// ...992). Seeds and sizes from 2^53 up therefore go through a "0x" hex
+/// string, and a decimal number there is refused rather than trusted.
+constexpr std::uint64_t kFirstInexact = 1ULL << 53;
+
+util::Json encode_u64(std::uint64_t value) {
+  if (value < kFirstInexact) return static_cast<long long>(value);
   char buf[19];
   std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(value));
   return "0x" + std::string(buf);
 }
+
+util::Json encode(std::size_t value) { return encode_u64(value); }
 
 template <class E>
 util::Json encode_named(E value, NameOf<E> name) {
@@ -78,14 +84,6 @@ void decode(const util::Json& v, int& out) {
   out = static_cast<int>(raw);
 }
 
-std::uint64_t non_negative(const util::Json& v) {
-  const long long raw = v.as_int();
-  if (raw < 0) throw std::logic_error("negative");
-  return static_cast<std::uint64_t>(raw);
-}
-
-void decode(const util::Json& v, std::size_t& out) { out = non_negative(v); }
-
 std::vector<util::Json> elements(const util::Json& v) {
   if (!v.is_array()) throw std::logic_error("expected array");
   return v.elements();
@@ -96,8 +94,20 @@ void decode(const util::Json& v, std::vector<int>& out) {
   for (const util::Json& e : elements(v)) decode(e, out.emplace_back());
 }
 
-std::uint64_t decode_seed(const util::Json& v) {
-  if (!v.is_string()) return non_negative(v);
+/// A non-negative integer: a JSON number below 2^53, or a string holding a
+/// "0x"-prefixed hex or a plain decimal number (exact at any size). `what`
+/// names the value in the error for a bad string.
+std::uint64_t decode_u64(const util::Json& v, const char* what) {
+  if (!v.is_string()) {
+    if (v.as_double() >= static_cast<double>(kFirstInexact)) {
+      throw std::logic_error(
+          "a decimal number of 2^53 or more may already be rounded; write "
+          "it as a \"0x\"-prefixed hex string");
+    }
+    const long long raw = v.as_int();
+    if (raw < 0) throw std::logic_error("negative");
+    return static_cast<std::uint64_t>(raw);
+  }
   // Strings are hex only with an explicit "0x" prefix (what the writer
   // emits); a quoted decimal like "42" must not silently parse as 0x42.
   const std::string& s = v.as_string();
@@ -112,9 +122,13 @@ std::uint64_t decode_seed(const util::Json& v) {
       digits.data(), digits.data() + digits.size(), value, base);
   if (ec != std::errc() || ptr != digits.data() + digits.size() ||
       digits.empty()) {
-    throw std::logic_error("bad seed \"" + s + "\"");
+    throw std::logic_error("bad " + std::string(what) + " \"" + s + "\"");
   }
   return value;
+}
+
+void decode(const util::Json& v, std::size_t& out) {
+  out = decode_u64(v, "integer");
 }
 
 template <class E>
@@ -154,7 +168,7 @@ class Writer {
   }
 
   void seed(const char* key, std::uint64_t T::*m) {
-    if (changed(m)) j_[key] = encode_seed(value_.*m);
+    if (changed(m)) j_[key] = encode_u64(value_.*m);
   }
 
   /// An enum, or a list of them, written by name.
@@ -204,7 +218,7 @@ class Reader {
   }
 
   void seed(const char* key, std::uint64_t T::*m) {
-    decode_at(key, [&](const util::Json& v) { out_.*m = decode_seed(v); });
+    decode_at(key, [&](const util::Json& v) { out_.*m = decode_u64(v, "seed"); });
   }
 
   template <class M, class E>

@@ -14,10 +14,11 @@ namespace lcda::llm {
 /// The LCDA design optimizer (paper Sec. III-A): an LLM behind the
 /// Algorithm-1 prompt loop, usable anywhere a search::Optimizer is.
 ///
-/// propose() builds the prompt from the accumulated history, queries the
-/// client, and parses the answer; malformed answers are retried and, after
-/// `max_parse_retries`, replaced by a uniform random sample so the co-design
-/// loop never stalls on a misbehaving model.
+/// feedback() renders each new history entry's prompt line once and keeps
+/// the newest window of rendered lines; propose() joins them into the
+/// prompt, queries the client, and parses the answer; malformed answers are
+/// retried and, after `max_parse_retries`, replaced by a uniform random
+/// sample so the co-design loop never stalls on a misbehaving model.
 class LlmOptimizer final : public search::Optimizer {
  public:
   struct Options {
@@ -55,6 +56,9 @@ class LlmOptimizer final : public search::Optimizer {
   Options opts_;
   PromptBuilder builder_;
   std::vector<HistoryEntry> history_;
+  /// PromptBuilder::history_line of the newest builder_.window_lines()
+  /// entries of history_, oldest first.
+  std::vector<std::string> window_;
   std::vector<Exchange> transcript_;
 };
 

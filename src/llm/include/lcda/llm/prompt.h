@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,23 @@ class PromptBuilder {
 
   PromptBuilder(search::SearchSpace space, Options opts);
 
-  /// Algorithm 1: GPT-Prompts(l_des, l_perf, Model, Choices).
+  /// Algorithm 1: GPT-Prompts(l_des, l_perf, Model, Choices). Renders the
+  /// newest window_lines() entries and hands them to build_from_lines.
   [[nodiscard]] ChatRequest build(const std::vector<HistoryEntry>& history) const;
+
+  /// The same prompt from history lines rendered once by history_line,
+  /// oldest first: the cached header, the newest max_history lines and the
+  /// closing request. A caller that renders each entry as it arrives needs
+  /// to keep only the newest window_lines() lines.
+  [[nodiscard]] ChatRequest build_from_lines(
+      std::span<const std::string> lines) const;
+
+  /// Rendered lines build_from_lines can use: max_history, but at least one,
+  /// because a non-empty history brings the results sentence even when
+  /// max_history is 0.
+  [[nodiscard]] std::size_t window_lines() const {
+    return opts_.max_history > 0 ? opts_.max_history : 1;
+  }
 
   /// The strict one-line grammar used for history entries, also consumed by
   /// prompt_reader:  "rollout=[[c,k],...] hardware=[DEV,b,adc,xbar,mux]

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "lcda/llm/prompt.h"
@@ -43,5 +47,84 @@ struct PromptFacts {
 /// Parses a full prompt (system + user text). Never throws; missing pieces
 /// are left at defaults.
 [[nodiscard]] PromptFacts read_prompt(std::string_view prompt_text);
+
+/// read_prompt for a caller that reads many prompts: the Algorithm-1 loop
+/// sends each history line in up to `max_history` consecutive prompts, so
+/// the reader memoizes what every '\n'-separated line yields (its history
+/// entry, if any, and where the header keywords sit in it), keyed by the
+/// line's own bytes and never by its position. A prompt therefore reads
+/// exactly as read_prompt reads it, whether it is the next turn of a
+/// sliding window or a foreign, mutated or reordered text; only the lines
+/// not seen recently cost a parse.
+///
+/// The memo is a cache, never state: it holds at most `capacity` lines
+/// (when a read leaves it full, the lines that read did not use are
+/// dropped), and it is not checkpointed. One reader per thread.
+class PromptReader {
+ public:
+  /// Twice the default history window, so a sliding window plus the
+  /// header lines stay memoized from one turn to the next.
+  static constexpr std::size_t kDefaultCapacity =
+      2 * PromptBuilder::Options{}.max_history;
+
+  /// `capacity` 0 memoizes nothing (read_prompt's reader).
+  explicit PromptReader(std::size_t capacity = kDefaultCapacity);
+
+  /// The facts of `prompt_text`, equal to read_prompt(prompt_text). Valid
+  /// until the next read.
+  [[nodiscard]] const PromptFacts& read(std::string_view prompt_text);
+
+  /// Design::hash() of each entry of the last read's facts().history.
+  [[nodiscard]] const std::vector<std::uint64_t>& history_hashes() const {
+    return history_hashes_;
+  }
+
+  /// Lines memoized now (never more than capacity()).
+  [[nodiscard]] std::size_t memo_size() const { return memo_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
+  /// The lower-case keywords of the header facts, plus the case-sensitive
+  /// " number pairs" marker as the last one.
+  static constexpr std::size_t kKeyCount = 11;
+
+ private:
+  /// What one line yields, independent of where it sits in a prompt.
+  struct Line {
+    bool is_history = false;
+    HistoryEntry entry;
+    std::uint64_t design_hash = 0;
+    /// Keys looked up in the line so far: a read asks a line only for the
+    /// keys no earlier line of its prompt holds. Of those, bit k of `keys`
+    /// is set when key k occurs in the line, first at key_at[k].
+    std::uint32_t searched = 0;
+    std::uint32_t keys = 0;
+    std::array<std::size_t, kKeyCount> key_at{};
+    /// Index of the last read that used the line.
+    std::uint64_t last_read = 0;
+  };
+  struct BytesHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  /// The memoized facts of `line`, parsed (and memoized while there is
+  /// room) on a miss, with at least the keys in `wanted` searched.
+  const Line& line_facts(std::string_view line, std::uint32_t wanted);
+  void parse_line(std::string_view line, std::uint32_t wanted, Line& out);
+  /// Looks up the keys of `wanted` not yet searched in `line`; lower_ holds
+  /// the line's to_lower copy.
+  void search_keys(std::string_view line, std::uint32_t wanted, Line& out) const;
+
+  std::size_t capacity_;
+  std::uint64_t reads_ = 0;
+  std::unordered_map<std::string, Line, BytesHash, std::equal_to<>> memo_;
+  Line scratch_;
+  /// The to_lower copy of the line being parsed (reused storage).
+  std::string lower_;
+  PromptFacts facts_;
+  std::vector<std::uint64_t> history_hashes_;
+};
 
 }  // namespace lcda::llm

@@ -11,11 +11,11 @@ namespace lcda::llm {
 /// Deterministic, prompt-driven stand-in for GPT-4 (DESIGN.md
 /// substitution #1).
 ///
-/// The simulator reads ONLY the prompt text (via read_prompt) — design
-/// space, objective, task framing and history all round-trip through the
-/// real Algorithm-1 prompt — and answers in free text that must survive the
-/// real response parser. Its policy encodes the behaviour the paper
-/// attributes to GPT-4:
+/// The simulator reads ONLY the prompt text (via its PromptReader, which
+/// reads exactly what read_prompt reads) — design space, objective, task
+/// framing and history all round-trip through the real Algorithm-1 prompt —
+/// and answers in free text that must survive the real response parser.
+/// Its policy encodes the behaviour the paper attributes to GPT-4:
 ///
 /// With co-design framing (LCDA):
 ///  * no cold start — the first proposal is already a sensible
@@ -68,6 +68,9 @@ class SimulatedGpt4 final : public LlmClient {
 
   Options opts_;
   util::Rng rng_;
+  /// Memoizes the prompt lines of one turn for the next (a cache: the
+  /// answers do not depend on it).
+  PromptReader reader_;
 };
 
 }  // namespace lcda::llm

@@ -21,7 +21,7 @@ std::string LlmOptimizer::name() const {
 }
 
 search::Design LlmOptimizer::propose(util::Rng& rng) {
-  const ChatRequest request = builder_.build(history_);
+  const ChatRequest request = builder_.build_from_lines(window_);
   const std::string prompt = request.full_text();
   for (int attempt = 0; attempt <= opts_.max_parse_retries; ++attempt) {
     const ChatResponse response = client_->complete(request);
@@ -46,6 +46,8 @@ void LlmOptimizer::feedback(const search::Observation& obs) {
   HistoryEntry entry;
   entry.design = obs.design;
   entry.performance = obs.reward;
+  if (window_.size() == builder_.window_lines()) window_.erase(window_.begin());
+  window_.push_back(PromptBuilder::history_line(entry));
   history_.push_back(std::move(entry));
 }
 

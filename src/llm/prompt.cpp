@@ -154,6 +154,18 @@ std::string PromptBuilder::render_header() const {
 }
 
 ChatRequest PromptBuilder::build(const std::vector<HistoryEntry>& history) const {
+  const std::size_t start =
+      history.size() > window_lines() ? history.size() - window_lines() : 0;
+  std::vector<std::string> lines;
+  lines.reserve(history.size() - start);
+  for (std::size_t i = start; i < history.size(); ++i) {
+    lines.push_back(history_line(history[i]));
+  }
+  return build_from_lines(lines);
+}
+
+ChatRequest PromptBuilder::build_from_lines(
+    std::span<const std::string> lines) const {
   ChatRequest req;
 
   // prompt_s of Algorithm 1.
@@ -167,19 +179,19 @@ ChatRequest PromptBuilder::build(const std::vector<HistoryEntry>& history) const
 
   // prompt_u of Algorithm 1: the static header, the newest max_history
   // entries, the closing request.
-  const std::size_t start =
-      history.size() > opts_.max_history ? history.size() - opts_.max_history : 0;
+  const bool any_history = !lines.empty();
+  if (lines.size() > opts_.max_history) lines = lines.last(opts_.max_history);
   ChatMessage user;
   user.role = ChatMessage::Role::kUser;
   std::string& text = user.content;
-  // ~100 bytes per history line at the default 6 layers.
-  text.reserve(header_.size() + kHistoryIntro.size() +
-               (history.size() - start) * 128 + kFooter.size());
+  std::size_t size = header_.size() + kHistoryIntro.size() + kFooter.size();
+  for (const std::string& line : lines) size += line.size() + 1;
+  text.reserve(size);
   text += header_;
-  if (!history.empty()) {
+  if (any_history) {
     text += kHistoryIntro;
-    for (std::size_t i = start; i < history.size(); ++i) {
-      append_history_line(text, history[i]);
+    for (const std::string& line : lines) {
+      text += line;
       text += '\n';
     }
   }

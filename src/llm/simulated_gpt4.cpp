@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "lcda/llm/explain.h"
 #include "lcda/llm/prompt.h"
@@ -33,18 +32,22 @@ int nearest_in(int value, const std::vector<int>& choices) {
 
 /// Next smaller / larger entry in a sorted-ish choice list.
 int step_choice(int value, const std::vector<int>& choices, int direction) {
-  std::vector<int> sorted = choices;
-  std::sort(sorted.begin(), sorted.end());
-  const auto it = std::find(sorted.begin(), sorted.end(), value);
+  if (!std::is_sorted(choices.begin(), choices.end())) {
+    std::vector<int> sorted = choices;
+    std::sort(sorted.begin(), sorted.end());
+    return step_choice(value, sorted, direction);
+  }
+  const auto it = std::find(choices.begin(), choices.end(), value);
   std::size_t idx =
-      it == sorted.end()
+      it == choices.end()
           ? static_cast<std::size_t>(
-                std::find(sorted.begin(), sorted.end(), nearest_in(value, sorted)) -
-                sorted.begin())
-          : static_cast<std::size_t>(it - sorted.begin());
-  if (direction > 0 && idx + 1 < sorted.size()) ++idx;
+                std::find(choices.begin(), choices.end(),
+                          nearest_in(value, choices)) -
+                choices.begin())
+          : static_cast<std::size_t>(it - choices.begin());
+  if (direction > 0 && idx + 1 < choices.size()) ++idx;
   if (direction < 0 && idx > 0) --idx;
-  return sorted[idx];
+  return choices[idx];
 }
 
 /// Enforces the "logical design choices" of Sec. IV-A: non-decreasing
@@ -66,15 +69,13 @@ void enforce_expert_constraints(std::vector<nn::ConvSpec>& rollout,
   }
 }
 
-std::uint64_t design_key(const search::Design& d) { return d.hash(); }
-
 }  // namespace
 
 SimulatedGpt4::SimulatedGpt4(Options opts) : opts_(opts), rng_(opts.seed) {}
 
 ChatResponse SimulatedGpt4::complete(const ChatRequest& request) {
   const std::string text = request.full_text();
-  const PromptFacts facts = read_prompt(text);
+  const PromptFacts& facts = reader_.read(text);
   ChatResponse resp;
   if (text.find(kExplainMarker) != std::string::npos) {
     resp.content = explain_change(facts);
@@ -183,8 +184,8 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
   if (expert_kernels.empty()) expert_kernels = kernels;
   const int layers = facts.conv_layers;
 
-  std::unordered_set<std::uint64_t> seen;
-  for (const auto& h : facts.history) seen.insert(design_key(h.design));
+  // The explored designs, hashed once per history line by the reader.
+  const std::vector<std::uint64_t>& seen = reader_.history_hashes();
 
   // --- Episode 0: pretrained knowledge, no cold start -------------------
   if (facts.history.empty()) {
@@ -337,7 +338,7 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
     }
 
     enforce_expert_constraints(d.rollout, channels);
-    if (!seen.contains(design_key(d))) return d;
+    if (std::find(seen.begin(), seen.end(), d.hash()) == seen.end()) return d;
   }
   // Every neighbor tried was already explored; re-suggest the best design
   // scaled down a notch (still expert-legal).

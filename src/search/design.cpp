@@ -31,19 +31,16 @@ std::string Design::describe() const {
 }
 
 std::uint64_t Design::hash() const {
-  std::vector<int> key;
-  key.reserve(rollout.size() * 2 + 6);
+  util::IntHasher h(0xdeca1ULL);
   for (const auto& spec : rollout) {
-    key.push_back(spec.channels);
-    key.push_back(spec.kernel);
+    h.add(spec.channels);
+    h.add(spec.kernel);
   }
-  key.push_back(static_cast<int>(hw.device));
-  key.push_back(hw.bits_per_cell);
-  key.push_back(hw.adc_bits);
-  key.push_back(hw.xbar_size);
-  key.push_back(hw.col_mux);
-  key.push_back(hw.weight_bits);
-  return util::hash_ints(key, 0xdeca1ULL);
+  for (int v : {static_cast<int>(hw.device), hw.bits_per_cell, hw.adc_bits,
+                hw.xbar_size, hw.col_mux, hw.weight_bits}) {
+    h.add(v);
+  }
+  return h.value();
 }
 
 }  // namespace lcda::search

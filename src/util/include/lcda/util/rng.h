@@ -142,4 +142,16 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index);
 /// Hash of a list of integers (order-sensitive).
 std::uint64_t hash_ints(std::span<const int> values, std::uint64_t seed = 0);
 
+/// hash_ints one value at a time, for keys that are not stored as one list:
+/// adding v0, v1, ... gives value() == hash_ints({v0, v1, ...}, seed).
+class IntHasher {
+ public:
+  explicit IntHasher(std::uint64_t seed = 0);
+  void add(int v);
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_;
+};
+
 }  // namespace lcda::util

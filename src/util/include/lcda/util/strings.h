@@ -24,6 +24,9 @@ namespace lcda::util {
 /// bytes >= 0x80) is copied unchanged, so offsets match the input.
 [[nodiscard]] std::string to_lower(std::string_view s);
 
+/// to_lower into `out`, reusing its storage.
+void to_lower(std::string_view s, std::string& out);
+
 /// Parses a decimal integer; nullopt on any trailing garbage.
 [[nodiscard]] std::optional<long long> parse_int(std::string_view s);
 

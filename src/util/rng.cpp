@@ -26,12 +26,16 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
   return hash_combine(base, index + 1);
 }
 
+IntHasher::IntHasher(std::uint64_t seed) : h_(hash_mix(seed + 0x51ed2701u)) {}
+
+void IntHasher::add(int v) {
+  h_ = hash_combine(h_, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+}
+
 std::uint64_t hash_ints(std::span<const int> values, std::uint64_t seed) {
-  std::uint64_t h = hash_mix(seed + 0x51ed2701u);
-  for (int v : values) {
-    h = hash_combine(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-  }
-  return h;
+  IntHasher h(seed);
+  for (int v : values) h.add(v);
+  return h.value();
 }
 
 namespace {

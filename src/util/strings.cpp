@@ -54,9 +54,14 @@ bool contains_icase(std::string_view haystack, std::string_view needle) {
 }
 
 std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = lower(c);
+  std::string out;
+  to_lower(s, out);
   return out;
+}
+
+void to_lower(std::string_view s, std::string& out) {
+  out.assign(s);
+  for (char& c : out) c = lower(c);
 }
 
 std::optional<long long> parse_int(std::string_view s) {

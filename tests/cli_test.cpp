@@ -135,6 +135,9 @@ INSTANTIATE_TEST_SUITE_P(
                   1, "config.space.conv_layers: out of range"},
         Rejection{"override_wrong_type", {kPaper, "--set", "seed=true"}, 1,
                   "config.seed: Json::as_double: not a number"},
+        Rejection{"override_seed_rounded",
+                  {kPaper, "--set", "seed=9007199254740993", "--print-config"},
+                  1, "config.seed: a decimal number of 2^53 or more"},
         Rejection{"unknown_strategy", {kPaper, "--strategy=lcda,nosuch"}, 1,
                   "unknown strategy \"nosuch\""},
         // Usage errors (exit 2).

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
@@ -93,21 +94,29 @@ TEST_P(PromptReaderFuzz, NeverCrashes) {
   }
 }
 
-/// A real Algorithm-1 prompt (energy, latency or naive framing) with
-/// `entries` history lines of sampled designs.
-std::string real_prompt(util::Rng& rng, int entries) {
-  const search::SearchSpace space;
+/// Random Algorithm-1 prompt options: energy, latency or naive framing.
+llm::PromptBuilder::Options random_prompt_options(util::Rng& rng) {
   llm::PromptBuilder::Options opts;
   opts.objective =
       rng.chance(0.5) ? llm::Objective::kEnergy : llm::Objective::kLatency;
   opts.codesign_context = rng.chance(0.7);
+  return opts;
+}
+
+llm::HistoryEntry random_entry(util::Rng& rng, const search::SearchSpace& space) {
+  llm::HistoryEntry h;
+  h.design = space.sample(rng);
+  h.performance = rng.chance(0.1) ? -1.0 : rng.uniform(-0.5, 1.0);
+  return h;
+}
+
+/// A real Algorithm-1 prompt (energy, latency or naive framing) with
+/// `entries` history lines of sampled designs.
+std::string real_prompt(util::Rng& rng, int entries) {
+  const search::SearchSpace space;
+  const llm::PromptBuilder::Options opts = random_prompt_options(rng);
   std::vector<llm::HistoryEntry> history;
-  for (int i = 0; i < entries; ++i) {
-    llm::HistoryEntry h;
-    h.design = space.sample(rng);
-    h.performance = rng.chance(0.1) ? -1.0 : rng.uniform(-0.5, 1.0);
-    history.push_back(h);
-  }
+  for (int i = 0; i < entries; ++i) history.push_back(random_entry(rng, space));
   return llm::PromptBuilder(space, opts).build(history).full_text();
 }
 
@@ -160,6 +169,137 @@ TEST_P(PromptReaderFuzz, MutatedRealPromptsKeepInvariants) {
       }
     }
   }
+}
+
+void flip_case(std::string& line) {
+  for (char& c : line) {
+    if (std::isalpha(static_cast<unsigned char>(c))) c ^= 0x20;
+  }
+}
+
+/// Line-level edits a memo keyed by line bytes must see through: a line
+/// doubled, a run of lines reversed, or one line's letters case-flipped.
+void shuffle_lines(util::Rng& rng, std::string& text) {
+  std::vector<std::string> lines = util::split(text, '\n');
+  const int edits = static_cast<int>(rng.uniform_int(1, 4));
+  for (int e = 0; e < edits && !lines.empty(); ++e) {
+    const std::size_t at = rng.index(lines.size());
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(rng.index(lines.size())),
+                     lines[at]);
+        break;
+      case 1: {
+        const std::size_t end = std::min(lines.size(), at + rng.index(12) + 2);
+        std::reverse(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     lines.begin() + static_cast<std::ptrdiff_t>(end));
+        break;
+      }
+      case 2:
+        flip_case(lines[at]);
+        break;
+    }
+  }
+  text = util::join(lines, "\n");
+}
+
+/// Field-by-field equality; performances compare by bit pattern so a NaN
+/// read from a mutated line matches itself. Returns what differs.
+std::string facts_diff(const llm::PromptFacts& got, const llm::PromptFacts& want) {
+  std::string diff;
+  const auto check = [&diff](bool same, const char* field) {
+    if (!same) diff += std::string(diff.empty() ? "" : ", ") + field;
+  };
+  check(got.codesign_context == want.codesign_context, "codesign_context");
+  check(got.objective == want.objective, "objective");
+  check(got.channel_choices == want.channel_choices, "channel_choices");
+  check(got.kernel_choices == want.kernel_choices, "kernel_choices");
+  check(got.device_choices == want.device_choices, "device_choices");
+  check(got.bits_per_cell_choices == want.bits_per_cell_choices,
+        "bits_per_cell_choices");
+  check(got.adc_bits_choices == want.adc_bits_choices, "adc_bits_choices");
+  check(got.xbar_choices == want.xbar_choices, "xbar_choices");
+  check(got.mux_choices == want.mux_choices, "mux_choices");
+  check(got.conv_layers == want.conv_layers, "conv_layers");
+  bool history_same = got.history.size() == want.history.size();
+  for (std::size_t i = 0; history_same && i < got.history.size(); ++i) {
+    history_same =
+        got.history[i].design == want.history[i].design &&
+        std::bit_cast<std::uint64_t>(got.history[i].performance) ==
+            std::bit_cast<std::uint64_t>(want.history[i].performance);
+  }
+  check(history_same, "history");
+  return diff;
+}
+
+TEST_P(PromptReaderFuzz, MemoizedReaderMatchesFreshRead) {
+  // One long-lived reader (so its memo is warm, full and evicting) against
+  // a fresh read_prompt of every prompt in a seeded sequence.
+  util::Rng rng(GetParam());
+  const search::SearchSpace space;
+  llm::PromptReader reader;
+  int prompts = 0;
+  int mismatches = 0;
+  int evictions = 0;
+  std::size_t last_size = 0;
+  const auto check = [&](const std::string& text) {
+    ++prompts;
+    const llm::PromptFacts& got = reader.read(text);
+    const std::string diff = facts_diff(got, llm::read_prompt(text));
+    if (!diff.empty()) {
+      ++mismatches;
+      ADD_FAILURE() << "memoized read differs in " << diff << " for:\n" << text;
+    }
+    const auto& hashes = reader.history_hashes();
+    ASSERT_EQ(hashes.size(), got.history.size());
+    for (std::size_t i = 0; i < hashes.size(); ++i) {
+      EXPECT_EQ(hashes[i], got.history[i].design.hash());
+    }
+    EXPECT_LE(reader.memo_size(), reader.capacity());
+    if (reader.memo_size() < last_size) ++evictions;
+    last_size = reader.memo_size();
+  };
+
+  for (int round = 0; round < 3; ++round) {
+    // The Algorithm-1 loop: sliding windows of one growing history, past
+    // the 64-line cap, with an occasional mutated or shuffled turn.
+    const llm::PromptBuilder builder(space, random_prompt_options(rng));
+    std::vector<llm::HistoryEntry> history;
+    for (int turn = 0; turn < 100; ++turn) {
+      std::string text = builder.build(history).full_text();
+      if (rng.chance(0.15)) mutate(rng, text);
+      if (rng.chance(0.15)) shuffle_lines(rng, text);
+      check(text);
+      // Repeats make duplicate lines inside one window.
+      history.push_back(rng.chance(0.2) && !history.empty()
+                            ? history[rng.index(history.size())]
+                            : random_entry(rng, space));
+    }
+    // Unrelated prompts: mostly new lines, so the memo fills and evicts.
+    for (int i = 0; i < 30; ++i) {
+      std::string text = real_prompt(rng, static_cast<int>(rng.uniform_int(0, 90)));
+      if (rng.chance(0.5)) mutate(rng, text);
+      if (rng.chance(0.5)) shuffle_lines(rng, text);
+      check(text);
+    }
+    // A line memoized late in one prompt (after the keywords it holds
+    // were found in an earlier line) must still answer for them when it
+    // comes first: a case-flipped copy of a header line, appended, then
+    // standing in for the original.
+    for (int i = 0; i < 10; ++i) {
+      std::vector<std::string> lines = util::split(real_prompt(rng, 3), '\n');
+      const std::size_t at = rng.index(std::min<std::size_t>(lines.size(), 8));
+      std::string flipped = lines[at];
+      flip_case(flipped);
+      lines.push_back(flipped);
+      check(util::join(lines, "\n"));
+      lines.pop_back();
+      lines[at] = flipped;
+      check(util::join(lines, "\n"));
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "over " << prompts << " prompts";
+  EXPECT_GT(evictions, 0) << "the sequence never filled the memo";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PromptReaderFuzz, ::testing::Values(7, 8, 9));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -98,6 +99,36 @@ TEST(Prompt, HistoryIsCapped) {
   EXPECT_EQ(text.find("performance=0.6"), std::string::npos);
   EXPECT_NE(text.find("performance=0.7"), std::string::npos);
   EXPECT_NE(text.find("performance=0.9"), std::string::npos);
+}
+
+TEST(Prompt, BuildFromLinesMatchesBuild) {
+  for (std::size_t cap : {0, 1, 3, 64}) {
+    PromptBuilder::Options opts;
+    opts.max_history = cap;
+    PromptBuilder builder(default_space(), opts);
+    std::vector<HistoryEntry> history;
+    std::vector<std::string> lines;
+    for (int i = 0; i < 70; ++i) {
+      const std::string want = builder.build(history).full_text();
+      EXPECT_EQ(builder.build_from_lines(lines).full_text(), want) << cap;
+      // The newest window_lines() lines are all it needs.
+      const std::size_t keep = std::min(lines.size(), builder.window_lines());
+      EXPECT_EQ(builder
+                    .build_from_lines(std::span<const std::string>(lines).last(keep))
+                    .full_text(),
+                want)
+          << cap;
+      // A history beyond a zero cap still brings the results sentence.
+      EXPECT_EQ(want.find("Here are some experimental results") != std::string::npos,
+                !history.empty());
+      HistoryEntry h;
+      h.design = vgg_design();
+      h.design.rollout[i % 6].channels = 16 + i;
+      h.performance = i * 0.01;
+      history.push_back(h);
+      lines.push_back(PromptBuilder::history_line(h));
+    }
+  }
 }
 
 TEST(Prompt, HardwareTextFormat) {
@@ -491,6 +522,32 @@ double scripted_reward(int ep, std::uint64_t seed) {
   if (ep % 11 == 5) return 1.2345e-7 * (ep + 1);
   if (ep % 13 == 8) return 9.87654321e6 + ep;
   return 0.1 + 0.0371 * ((ep + static_cast<int>(seed)) % 9);
+}
+
+TEST(LlmOptimizer, WindowPromptsMatchBuildOfTheWholeHistory) {
+  // feedback keeps rendered lines; every prompt must still be build() of
+  // the history so far, also past the cap.
+  for (std::size_t cap : {3, 64}) {
+    auto client = std::make_shared<ScriptedLlm>(std::vector<std::string>{
+        "[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]]"});
+    LlmOptimizer::Options opts;
+    opts.prompt.max_history = cap;
+    LlmOptimizer opt(default_space(), client, opts);
+    const PromptBuilder builder(default_space(), opts.prompt);
+    util::Rng rng(5);
+    std::vector<HistoryEntry> history;
+    for (int ep = 0; ep < 80; ++ep) {
+      search::Observation obs;
+      obs.design = opt.propose(rng);
+      ASSERT_EQ(client->requests().back().full_text(),
+                builder.build(history).full_text())
+          << "cap " << cap << " episode " << ep;
+      obs.design.rollout[0].channels = 16 + ep % 5;
+      obs.reward = ep * 0.01;
+      opt.feedback(obs);
+      history.push_back({obs.design, obs.reward});
+    }
+  }
 }
 
 TEST(LlmOptimizer, TranscriptBytesPinnedPastHistoryCap) {

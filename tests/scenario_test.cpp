@@ -238,6 +238,59 @@ TEST(ConfigJson, LargeSeedsRoundTripThroughHexStrings) {
                std::invalid_argument);
 }
 
+TEST(ConfigJson, DecimalsFromTwoToTheFiftyThreeAreRefused) {
+  // A JSON number of 2^53 or more may already be rounded by the parser
+  // (9007199254740993 reads as ...992), so seeds and sizes from 2^53 up
+  // are written, and must be given, as "0x" hex strings.
+  constexpr std::uint64_t k53 = 1ULL << 53;
+  core::ExperimentConfig config;
+  config.seed = k53 - 1;
+  EXPECT_FALSE(core::config_to_json(config).at("seed").is_string());
+  config.seed = k53;
+  config.persistent_cache_max_bytes = k53 + 1;
+  const util::Json j = core::config_to_json(config);
+  EXPECT_EQ(j.at("seed").as_string(), "0x20000000000000");
+  EXPECT_EQ(j.at("persistent_cache_max_bytes").as_string(), "0x20000000000001");
+  const core::ExperimentConfig back = core::config_from_json(j);
+  EXPECT_EQ(back.seed, k53);
+  EXPECT_EQ(back.persistent_cache_max_bytes, k53 + 1);
+
+  EXPECT_EQ(core::config_from_json(
+                util::Json::parse(R"({"seed":9007199254740991})"))
+                .seed,
+            k53 - 1);
+  EXPECT_EQ(core::config_from_json(
+                util::Json::parse(R"({"batch_size":"0x20000000000001"})"))
+                .batch_size,
+            k53 + 1);
+  const std::string hint =
+      ": a decimal number of 2^53 or more may already be rounded; write it "
+      "as a \"0x\"-prefixed hex string";
+  for (const auto& [doc, key] :
+       std::vector<std::pair<const char*, const char*>>{
+           {R"({"seed":9007199254740992})", "config.seed"},
+           {R"({"seed":9007199254740993})", "config.seed"},
+           {R"({"seed":1e19})", "config.seed"},
+           {R"({"batch_size":9007199254740993})", "config.batch_size"},
+           {R"({"trained":{"dataset":{"seed":9007199254740993}}})",
+            "config.trained.dataset.seed"}}) {
+    try {
+      (void)core::config_from_json(util::Json::parse(doc));
+      ADD_FAILURE() << doc << " decoded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), std::string(key) + hint) << doc;
+    }
+  }
+  EXPECT_THROW((void)core::config_from_json(
+                   util::Json::parse(R"({"batch_size":"lots"})")),
+               std::invalid_argument);
+
+  // --set takes the hex form as a bare string.
+  core::ExperimentConfig overridden;
+  core::apply_override(overridden, "seed=0x20000000000001");
+  EXPECT_EQ(overridden.seed, k53 + 1);
+}
+
 TEST(ConfigJson, UnknownKeysAreRejected) {
   EXPECT_THROW((void)core::config_from_json(util::Json::parse(
                    R"({"objectives":"energy"})")),

@@ -8,6 +8,7 @@
 #include "lcda/search/random_optimizer.h"
 #include "lcda/search/rl_optimizer.h"
 #include "lcda/search/space.h"
+#include "lcda/util/rng.h"
 
 namespace lcda::search {
 namespace {
@@ -36,6 +37,23 @@ TEST(Design, HashDistinguishesRolloutAndHardware) {
   b = a;
   b.hw.adc_bits = 7;
   EXPECT_NE(a.hash(), b.hash());
+}
+
+TEST(Design, HashIsHashIntsOfRolloutThenHardware) {
+  // The cache keys and dedup sets of every strategy rest on this value.
+  Design d = vgg_design();
+  d.hw.device = cim::DeviceType::kFefet;
+  d.hw.xbar_size = 256;
+  std::vector<int> key;
+  for (const auto& spec : d.rollout) {
+    key.push_back(spec.channels);
+    key.push_back(spec.kernel);
+  }
+  for (int v : {static_cast<int>(d.hw.device), d.hw.bits_per_cell,
+                d.hw.adc_bits, d.hw.xbar_size, d.hw.col_mux, d.hw.weight_bits}) {
+    key.push_back(v);
+  }
+  EXPECT_EQ(d.hash(), util::hash_ints(key, 0xdeca1ULL));
 }
 
 TEST(Design, DescribeIncludesHardware) {

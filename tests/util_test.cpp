@@ -167,6 +167,16 @@ TEST(Hash, IntsOrderSensitive) {
   EXPECT_NE(hash_ints(a, 1), hash_ints(a, 2));
 }
 
+TEST(Hash, IntHasherMatchesHashInts) {
+  const std::vector<int> values = {7, -3, 0, 1 << 30, -(1 << 30)};
+  for (std::uint64_t seed : {0ULL, 1ULL, 0xdeca1ULL}) {
+    IntHasher h(seed);
+    EXPECT_EQ(h.value(), hash_ints({}, seed));
+    for (int v : values) h.add(v);
+    EXPECT_EQ(h.value(), hash_ints(values, seed));
+  }
+}
+
 // ----------------------------------------------------------------- Stats
 
 TEST(OnlineStats, MatchesDirectComputation) {
