@@ -1,15 +1,19 @@
 #include "lcda/llm/simulated_gpt4.h"
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 
 #include "lcda/llm/explain.h"
 #include "lcda/llm/prompt.h"
+#include "lcda/search/space.h"
 #include "lcda/util/strings.h"
 
 namespace lcda::llm {
 
 namespace {
+
+using search::nearest_choice;
 
 /// Fallback choice lists when the prompt did not carry them (robustness —
 /// a real GPT-4 would likewise fall back to plausible values).
@@ -20,14 +24,6 @@ template <typename T>
 const std::vector<T>& or_default(const std::vector<T>& got,
                                  const std::vector<T>& fallback) {
   return got.empty() ? fallback : got;
-}
-
-int nearest_in(int value, const std::vector<int>& choices) {
-  int best = choices.front();
-  for (int c : choices) {
-    if (std::abs(c - value) < std::abs(best - value)) best = c;
-  }
-  return best;
 }
 
 /// Next smaller / larger entry in a sorted-ish choice list.
@@ -42,7 +38,7 @@ int step_choice(int value, const std::vector<int>& choices, int direction) {
       it == choices.end()
           ? static_cast<std::size_t>(
                 std::find(choices.begin(), choices.end(),
-                          nearest_in(value, choices)) -
+                          nearest_choice(value, choices)) -
                 choices.begin())
           : static_cast<std::size_t>(it - choices.begin());
   if (direction > 0 && idx + 1 < choices.size()) ++idx;
@@ -56,10 +52,10 @@ void enforce_expert_constraints(std::vector<nn::ConvSpec>& rollout,
                                 const std::vector<int>& channels) {
   int prev = 0;
   for (auto& spec : rollout) {
-    spec.channels = nearest_in(spec.channels, channels);
+    spec.channels = nearest_choice(spec.channels, channels);
     if (prev > 0) {
       if (spec.channels < prev) spec.channels = prev;
-      while (spec.channels > 4 * prev) {
+      while (spec.channels > 4LL * prev) {
         const int smaller = step_choice(spec.channels, channels, -1);
         if (smaller == spec.channels) break;
         spec.channels = smaller;
@@ -197,7 +193,9 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
     for (int i = 0; i < layers; ++i) {
       nn::ConvSpec spec;
       const double scale = static_cast<double>(1 << (i / 2));
-      spec.channels = nearest_in(static_cast<int>(start * scale), channels);
+      // The choices come from the prompt, so the product may leave int.
+      const double width = std::clamp(start * scale, double{INT_MIN}, double{INT_MAX});
+      spec.channels = nearest_choice(static_cast<int>(width), channels);
       if (prev > 0 && spec.channels < prev) spec.channels = prev;
       spec.kernel = 3;
       d.rollout.push_back(spec);
@@ -208,15 +206,15 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
     // mid-resolution ADC is the textbook CiM operating point.
     if (!facts.device_choices.empty()) d.hw.device = facts.device_choices.front();
     if (!facts.bits_per_cell_choices.empty()) {
-      d.hw.bits_per_cell = nearest_in(2, facts.bits_per_cell_choices);
+      d.hw.bits_per_cell = nearest_choice(2, facts.bits_per_cell_choices);
     }
     if (!facts.adc_bits_choices.empty()) {
-      d.hw.adc_bits = nearest_in(6, facts.adc_bits_choices);
+      d.hw.adc_bits = nearest_choice(6, facts.adc_bits_choices);
     }
     if (!facts.xbar_choices.empty()) {
-      d.hw.xbar_size = nearest_in(128, facts.xbar_choices);
+      d.hw.xbar_size = nearest_choice(128, facts.xbar_choices);
     }
-    if (!facts.mux_choices.empty()) d.hw.col_mux = nearest_in(8, facts.mux_choices);
+    if (!facts.mux_choices.empty()) d.hw.col_mux = nearest_choice(8, facts.mux_choices);
     return d;
   }
 
@@ -250,7 +248,7 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
       // channel widths and hardware configuration instead.
       const double roll = rng_.uniform();
       for (auto& spec : d.rollout) {
-        spec.kernel = nearest_in(3, expert_kernels);
+        spec.kernel = nearest_choice(3, expert_kernels);
       }
       if (roll < 0.40) {
         const int dir = rng_.chance(0.6) ? -1 : +1;  // smaller nets replicate

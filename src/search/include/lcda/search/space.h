@@ -75,4 +75,9 @@ class SearchSpace {
   Options opts_;
 };
 
+/// The entry of non-empty `choices` closest to `value`, the first of equally
+/// close ones. Exact for every int pair: `value` may come from outside
+/// (an LLM answer or prompt) and sit anywhere in int's range.
+[[nodiscard]] int nearest_choice(int value, const std::vector<int>& choices);
+
 }  // namespace lcda::search

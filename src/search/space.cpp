@@ -7,15 +7,18 @@
 
 namespace lcda::search {
 
-namespace {
-
 int nearest_choice(int value, const std::vector<int>& choices) {
+  const auto distance = [value](int c) {
+    return std::abs(static_cast<long long>(c) - value);
+  };
   int best = choices.front();
   for (int c : choices) {
-    if (std::abs(c - value) < std::abs(best - value)) best = c;
+    if (distance(c) < distance(best)) best = c;
   }
   return best;
 }
+
+namespace {
 
 int choice_index(int value, const std::vector<int>& choices, const char* what) {
   for (std::size_t i = 0; i < choices.size(); ++i) {

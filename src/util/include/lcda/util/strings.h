@@ -35,7 +35,8 @@ void to_lower(std::string_view s, std::string& out);
 
 /// Extracts every decimal integer appearing in `s`, in order.
 /// "[ [32, 3], [64,3] ]" -> {32, 3, 64, 3}. Minus signs directly before a
-/// digit are honoured.
+/// digit are honoured. A digit run too long for `long long` (the text may
+/// come from outside, e.g. an LLM answer) saturates at +-LLONG_MAX.
 [[nodiscard]] std::vector<long long> extract_ints(std::string_view s);
 
 /// Joins items with a separator.

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 namespace lcda::util {
 
@@ -83,6 +84,7 @@ std::optional<double> parse_double(std::string_view s) {
 }
 
 std::vector<long long> extract_ints(std::string_view s) {
+  constexpr long long kMax = std::numeric_limits<long long>::max();
   std::vector<long long> out;
   std::size_t i = 0;
   while (i < s.size()) {
@@ -92,7 +94,8 @@ std::vector<long long> extract_ints(std::string_view s) {
       std::size_t j = i + (neg ? 1 : 0);
       long long value = 0;
       while (j < s.size() && std::isdigit(static_cast<unsigned char>(s[j]))) {
-        value = value * 10 + (s[j] - '0');
+        const int digit = s[j] - '0';
+        value = value > (kMax - digit) / 10 ? kMax : value * 10 + digit;
         ++j;
       }
       out.push_back(neg ? -value : value);

@@ -250,6 +250,11 @@ INSTANTIATE_TEST_SUITE_P(
                   true, 32, 3},
         ParseCase{"snapped-off-space",
                   "[[30,3],[32,3],[64,3],[64,3],[128,3],[128,3]]", true, 32, 3},
+        // Out-of-int and out-of-long-long numbers snap without overflow.
+        ParseCase{"int-extremes",
+                  "[[-2147483648,3],[99999999999999999999,3],[64,3],[64,3],"
+                  "[128,3],[128,3]]\nhardware=[RRAM,-2147483648,8,128,8]",
+                  true, 16, 3},
         ParseCase{"too-few-pairs", "[[32,3],[64,3]]", false},
         ParseCase{"no-design", "I cannot help with that.", false},
         ParseCase{"empty", "", false}));
@@ -345,6 +350,24 @@ TEST(SimulatedGpt4, ResponsesAlwaysParseable) {
     h.design = r.design;
     h.performance = 0.1 * (ep % 5);
     history.push_back(h);
+  }
+}
+
+TEST(SimulatedGpt4, ChoicesNearIntLimitsStayInSpace) {
+  // The choice lists are prompt text: widths near INT_MAX must not
+  // overflow the policy's widening and growth arithmetic.
+  search::SearchSpace::Options so;
+  so.channel_choices = {1000000000, 2000000000};
+  const search::SearchSpace space(so);
+  const PromptBuilder builder(space, {});
+  SimulatedGpt4 gpt;
+  std::vector<HistoryEntry> history;
+  for (int ep = 0; ep < 10; ++ep) {
+    const ChatResponse resp = gpt.complete(builder.build(history));
+    const ParseResult r = parse_design_response(resp.content, space);
+    ASSERT_TRUE(r.ok) << "episode " << ep << ": " << resp.content;
+    EXPECT_EQ(r.repairs, 0) << "episode " << ep << ": " << resp.content;
+    history.push_back({r.design, 0.1 * (ep % 3)});
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "lcda/search/design.h"
@@ -123,6 +124,8 @@ TEST(Space, SnapRepairsArbitraryValues) {
   d.rollout = {{30, 2}, {200, 9}, {0, 0}, {64, 3}, {64, 3}, {128, 3}};
   d.hw.adc_bits = 20;
   d.hw.xbar_size = 100;
+  d.hw.bits_per_cell = std::numeric_limits<int>::min();
+  d.hw.col_mux = std::numeric_limits<int>::max();
   const Design snapped = space.snap(d);
   EXPECT_TRUE(space.contains(snapped));
   EXPECT_EQ(snapped.rollout[0].channels, 32);
@@ -130,6 +133,9 @@ TEST(Space, SnapRepairsArbitraryValues) {
   EXPECT_EQ(snapped.rollout[1].channels, 128);  // clamped to largest
   EXPECT_EQ(snapped.hw.adc_bits, 8);
   EXPECT_EQ(snapped.hw.xbar_size, 128);
+  // Distances from int's extremes do not overflow.
+  EXPECT_EQ(snapped.hw.bits_per_cell, 1);
+  EXPECT_EQ(snapped.hw.col_mux, 8);
 }
 
 TEST(Space, SnapPadsShortRollouts) {

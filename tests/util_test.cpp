@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <numeric>
@@ -325,7 +326,11 @@ INSTANTIATE_TEST_SUITE_P(
         ExtractCase{"a-b", {}},
         ExtractCase{"perf=-1", {-1}},
         ExtractCase{"[ [ 16 , 7 ] ]", {16, 7}},
-        ExtractCase{"1,2,3", {1, 2, 3}}));
+        ExtractCase{"1,2,3", {1, 2, 3}},
+        // Digit runs too long for long long saturate.
+        ExtractCase{"9223372036854775807", {LLONG_MAX}},
+        ExtractCase{"[99999999999999999999,-9223372036854775808]",
+                    {LLONG_MAX, -LLONG_MAX}}));
 
 TEST(Strings, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
