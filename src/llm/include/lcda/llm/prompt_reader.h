@@ -57,18 +57,17 @@ struct PromptFacts {
 /// sliding window or a foreign, mutated or reordered text; only the lines
 /// not seen recently cost a parse.
 ///
-/// The memo is a cache, never state: it holds at most `capacity` lines
+/// The memo is a cache, never state: it holds at most kCapacity lines
 /// (when a read leaves it full, the lines that read did not use are
 /// dropped), and it is not checkpointed. One reader per thread.
 class PromptReader {
  public:
   /// Twice the default history window, so a sliding window plus the
   /// header lines stay memoized from one turn to the next.
-  static constexpr std::size_t kDefaultCapacity =
+  static constexpr std::size_t kCapacity =
       2 * PromptBuilder::Options{}.max_history;
 
-  /// `capacity` 0 memoizes nothing (read_prompt's reader).
-  explicit PromptReader(std::size_t capacity = kDefaultCapacity);
+  PromptReader();
 
   /// The facts of `prompt_text`, equal to read_prompt(prompt_text). Valid
   /// until the next read.
@@ -79,9 +78,8 @@ class PromptReader {
     return history_hashes_;
   }
 
-  /// Lines memoized now (never more than capacity()).
+  /// Lines memoized now (never more than kCapacity).
   [[nodiscard]] std::size_t memo_size() const { return memo_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// The lower-case keywords of the header facts, plus the case-sensitive
   /// " number pairs" marker as the last one.
@@ -93,10 +91,7 @@ class PromptReader {
     bool is_history = false;
     HistoryEntry entry;
     std::uint64_t design_hash = 0;
-    /// Keys looked up in the line so far: a read asks a line only for the
-    /// keys no earlier line of its prompt holds. Of those, bit k of `keys`
-    /// is set when key k occurs in the line, first at key_at[k].
-    std::uint32_t searched = 0;
+    /// Bit k is set when key k occurs in the line, first at key_at[k].
     std::uint32_t keys = 0;
     std::array<std::size_t, kKeyCount> key_at{};
     /// Index of the last read that used the line.
@@ -110,14 +105,10 @@ class PromptReader {
   };
 
   /// The memoized facts of `line`, parsed (and memoized while there is
-  /// room) on a miss, with at least the keys in `wanted` searched.
-  const Line& line_facts(std::string_view line, std::uint32_t wanted);
-  void parse_line(std::string_view line, std::uint32_t wanted, Line& out);
-  /// Looks up the keys of `wanted` not yet searched in `line`; lower_ holds
-  /// the line's to_lower copy.
-  void search_keys(std::string_view line, std::uint32_t wanted, Line& out) const;
+  /// room) on a miss.
+  const Line& line_facts(std::string_view line);
+  void parse_line(std::string_view line, Line& out);
 
-  std::size_t capacity_;
   std::uint64_t reads_ = 0;
   std::unordered_map<std::string, Line, BytesHash, std::equal_to<>> memo_;
   Line scratch_;

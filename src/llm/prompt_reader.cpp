@@ -12,6 +12,39 @@ namespace {
 
 constexpr std::size_t npos = std::string_view::npos;
 
+/// Extracts the integer list between the first '{' after `key` (lower
+/// case, looked up in `lower`) and the matching '}'. `text` and `lower` are
+/// the prompt and its to_lower copy, so offsets agree.
+std::vector<int> braced_ints_after(std::string_view text, std::string_view lower,
+                                   std::string_view key) {
+  std::vector<int> out;
+  const std::size_t pos = lower.find(key);
+  if (pos == npos) return out;
+  const std::size_t open = text.find('{', pos);
+  if (open == npos) return out;
+  const std::size_t close = text.find('}', open);
+  if (close == npos) return out;
+  for (long long v : util::extract_ints(text.substr(open + 1, close - open - 1))) {
+    out.push_back(static_cast<int>(v));
+  }
+  return out;
+}
+
+std::vector<cim::DeviceType> devices_after(std::string_view lower,
+                                           std::string_view key) {
+  std::vector<cim::DeviceType> out;
+  const std::size_t pos = lower.find(key);
+  if (pos == npos) return out;
+  const std::size_t open = lower.find('{', pos);
+  const std::size_t close = open == npos ? npos : lower.find('}', open);
+  if (close == npos) return out;
+  const std::string_view body = lower.substr(open + 1, close - open - 1);
+  if (body.find("rram") != npos) out.push_back(cim::DeviceType::kRram);
+  if (body.find("fefet") != npos) out.push_back(cim::DeviceType::kFefet);
+  if (body.find("sram") != npos) out.push_back(cim::DeviceType::kSram);
+  return out;
+}
+
 /// The header keywords read_prompt looks up, in PromptReader's key order:
 /// all but the last in the lower-cased text, the last verbatim. None holds
 /// a '\n', so the first occurrence in a prompt is the first occurrence in
@@ -25,10 +58,9 @@ enum Key : std::size_t {
   kNas, kModelArchitecture, kInferenceLatency, kChannels, kKernels, kDevices,
   kBitsPerCell, kAdcBits, kXbar, kColMux, kNumberPairs
 };
-constexpr std::uint32_t kAllKeys = (1u << PromptReader::kKeyCount) - 1;
 
-/// The integer list between the first '{' at or after `pos` and the
-/// matching '}' (empty when `pos` is npos or either brace is missing).
+/// PromptReader's braced_ints_after: the key's first offset `pos` in the
+/// prompt is already known (npos when the prompt lacks it).
 void braced_ints_at(std::string_view text, std::size_t pos, std::vector<int>& out) {
   out.clear();
   if (pos == npos) return;
@@ -41,6 +73,8 @@ void braced_ints_at(std::string_view text, std::size_t pos, std::vector<int>& ou
   }
 }
 
+/// PromptReader's devices_after, over the prompt text rather than a
+/// lower-cased copy of all of it.
 void devices_at(std::string_view text, std::size_t pos,
                 std::vector<cim::DeviceType>& out) {
   out.clear();
@@ -101,18 +135,61 @@ bool parse_history_line(std::string_view line, std::string_view lower,
 }  // namespace
 
 PromptFacts read_prompt(std::string_view text) {
-  PromptReader reader(0);
-  return reader.read(text);
+  PromptFacts facts;
+
+  // One lower-cased copy, byte for byte the same length as `text`: every
+  // case-insensitive lookup is a plain find on it, at the same offsets.
+  const std::string lowered = util::to_lower(text);
+  const std::string_view lower = lowered;
+
+  facts.codesign_context = lower.find("neural architecture search") != npos ||
+                           lower.find("model architecture") != npos;
+  facts.objective = lower.find("inference latency") != npos
+                        ? Objective::kLatency
+                        : Objective::kEnergy;
+
+  facts.channel_choices = braced_ints_after(text, lower, "channels per layer:");
+  facts.kernel_choices = braced_ints_after(text, lower, "kernel sizes:");
+  facts.device_choices = devices_after(lower, "device in");
+  facts.bits_per_cell_choices = braced_ints_after(text, lower, "bits_per_cell in");
+  facts.adc_bits_choices = braced_ints_after(text, lower, "adc_bits in");
+  facts.xbar_choices = braced_ints_after(text, lower, "xbar_size in");
+  facts.mux_choices = braced_ints_after(text, lower, "col_mux in");
+
+  // "...rollout list consisting of N number pairs" (expert prompt) or
+  // "...list of N number pairs" (naive prompt): the integer directly
+  // preceding the "number pairs" marker.
+  const std::size_t pairs_marker = text.find(" number pairs");
+  if (pairs_marker != npos) {
+    const std::size_t window = std::min<std::size_t>(pairs_marker, 24);
+    const auto ints =
+        util::extract_ints(text.substr(pairs_marker - window, window));
+    if (!ints.empty() && ints.back() > 0 && ints.back() <= 32) {
+      facts.conv_layers = static_cast<int>(ints.back());
+    }
+  }
+
+  // Every '\n'-separated line (the text after the last newline included),
+  // as views into `text` and `lower`.
+  for (std::size_t begin = 0; begin <= text.size();) {
+    std::size_t end = text.find('\n', begin);
+    if (end == npos) end = text.size();
+    HistoryEntry entry;
+    if (parse_history_line(text.substr(begin, end - begin),
+                           lower.substr(begin, end - begin), entry)) {
+      facts.history.push_back(std::move(entry));
+    }
+    begin = end + 1;
+  }
+  return facts;
 }
 
-PromptReader::PromptReader(std::size_t capacity) : capacity_(capacity) {
-  memo_.reserve(capacity_);
-}
+PromptReader::PromptReader() { memo_.reserve(kCapacity); }
 
-void PromptReader::search_keys(std::string_view line, std::uint32_t wanted,
-                               Line& out) const {
-  for (std::uint32_t todo = wanted & ~out.searched; todo != 0; todo &= todo - 1) {
-    const auto k = static_cast<std::size_t>(std::countr_zero(todo));
+void PromptReader::parse_line(std::string_view line, Line& out) {
+  util::to_lower(line, lower_);
+  out.keys = 0;
+  for (std::size_t k = 0; k < kKeyCount; ++k) {
     const std::size_t at =
         (k == kNumberPairs ? line : std::string_view(lower_)).find(kKeys[k]);
     if (at != npos) {
@@ -120,37 +197,22 @@ void PromptReader::search_keys(std::string_view line, std::uint32_t wanted,
       out.key_at[k] = at;
     }
   }
-  out.searched |= wanted;
-}
-
-void PromptReader::parse_line(std::string_view line, std::uint32_t wanted,
-                              Line& out) {
-  util::to_lower(line, lower_);
-  out.searched = 0;
-  out.keys = 0;
-  search_keys(line, wanted, out);
   out.entry = HistoryEntry{};
   out.is_history = parse_history_line(line, lower_, out.entry);
   out.design_hash = out.is_history ? out.entry.design.hash() : 0;
 }
 
-const PromptReader::Line& PromptReader::line_facts(std::string_view line,
-                                                   std::uint32_t wanted) {
+const PromptReader::Line& PromptReader::line_facts(std::string_view line) {
   if (const auto it = memo_.find(line); it != memo_.end()) {
-    Line& hit = it->second;
-    hit.last_read = reads_;
-    if ((wanted & ~hit.searched) != 0) {
-      util::to_lower(line, lower_);
-      search_keys(line, wanted, hit);
-    }
-    return hit;
+    it->second.last_read = reads_;
+    return it->second;
   }
-  if (memo_.size() >= capacity_) {
-    parse_line(line, wanted, scratch_);
+  if (memo_.size() >= kCapacity) {
+    parse_line(line, scratch_);
     return scratch_;
   }
   Line& fresh = memo_.try_emplace(std::string(line)).first->second;
-  parse_line(line, wanted, fresh);
+  parse_line(line, fresh);
   fresh.last_read = reads_;
   return fresh;
 }
@@ -167,13 +229,14 @@ const PromptFacts& PromptReader::read(std::string_view text) {
   for (std::size_t begin = 0; begin <= text.size();) {
     std::size_t end = text.find('\n', begin);
     if (end == npos) end = text.size();
-    const std::uint32_t wanted = kAllKeys & ~found;
-    const Line& line = line_facts(text.substr(begin, end - begin), wanted);
-    for (std::uint32_t first = line.keys & wanted; first != 0; first &= first - 1) {
-      const auto k = static_cast<std::size_t>(std::countr_zero(first));
+    const Line& line = line_facts(text.substr(begin, end - begin));
+    // The keys this line holds that no earlier line held.
+    const std::uint32_t first_here = line.keys & ~found;
+    for (std::uint32_t todo = first_here; todo != 0; todo &= todo - 1) {
+      const auto k = static_cast<std::size_t>(std::countr_zero(todo));
       key_at[k] = begin + line.key_at[k];
     }
-    found |= line.keys & wanted;
+    found |= first_here;
     if (line.is_history) {
       // Assigning over a kept entry reuses its rollout's storage.
       if (entries < facts_.history.size()) {
@@ -187,7 +250,7 @@ const PromptFacts& PromptReader::read(std::string_view text) {
     begin = end + 1;
   }
   facts_.history.resize(entries);
-  if (capacity_ > 0 && memo_.size() >= capacity_) {
+  if (memo_.size() >= kCapacity) {
     std::erase_if(memo_, [this](const auto& kv) {
       return kv.second.last_read != reads_;
     });
